@@ -104,7 +104,7 @@ def _cmd_signature(args) -> int:
 
 def _cmd_classify(args) -> int:
     states = [load_state(p) for p in args.states]
-    l = optimal_split(states[0].dims) if args.l == "auto" else int(args.l)
+    l = _resolve_split(states[0], args.l)
     groups = classify(states, l, ids=list(args.states))
     pset = permutation_set(states[0].n, l, states[0].dims)
     _write(classify_to_csv(groups, l, pset), args.out)

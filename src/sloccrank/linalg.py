@@ -9,7 +9,7 @@ cross-check only; classification never depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm, prod
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -105,11 +105,6 @@ class ExactMatrix:
                         row.extend(a * b for b in other.data[k])
                 out.append(row)
         return ExactMatrix(out)
-
-    def scale_row(self, r: int, factor: ComplexRational) -> "ExactMatrix":
-        data = [list(row) for row in self.data]
-        data[r] = [factor * x for x in data[r]]
-        return ExactMatrix(data)
 
     def to_numpy(self) -> np.ndarray:
         return np.array(
@@ -250,54 +245,20 @@ def rank_numeric(m: ExactMatrix, safety: float = 100.0) -> RankResult:
 
 
 def det_exact(m: ExactMatrix) -> ComplexRational:
-    """Exact determinant (square matrices) via rational elimination."""
+    """Exact determinant (square matrices) via the Bareiss kernel.
+
+    The last one-step Bareiss pivot of the row-scaled, row-permuted matrix is
+    its determinant; undo the permutation's sign and the row scales.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    a = [list(row) for row in m.data]
-    det = ONE
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            return ZERO
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            det = -det
-        pivot = a[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            f = a[r][col] / pivot
-            if f.is_zero():
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def invert_exact(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square invertible matrix (Gauss-Jordan)."""
-    if m.rows != m.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    a = [list(row) + list(ident_row) for row, ident_row in
-         zip(m.data, ExactMatrix.identity(n).data)]
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[sel] = a[sel], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return ExactMatrix([row[n:] for row in a])
+    grid = _gaussian_rows(m)
+    rank, pivots = _bareiss_rank(grid)
+    if rank < m.rows:
+        return ZERO
+    order = [r for r, _ in pivots]
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    sign = -1 if inversions % 2 else 1
+    scale = prod(lcm(*(x.d for x in row)) for row in m.data)
+    a, b = grid[-1][-1]
+    return ComplexRational(sign * a, sign * b, scale)

@@ -142,7 +142,7 @@ def _coerce(value):
     if isinstance(value, ComplexRational):
         return value
     if isinstance(value, int):
-        return ComplexRational(value, 0, 1, _normalized=value != 0 or True)
+        return ComplexRational(value, 0, 1, _normalized=True)
     if isinstance(value, Fraction):
         return ComplexRational(value)
     return NotImplemented

@@ -11,14 +11,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix, det_exact, invert_exact, kron_all, rank_exact
-from .matricizer import (
-    QuditPermutation,
-    coefficient_matrix,
-    permutation_set,
-)
+from .classifier import signature
+from .linalg import ExactMatrix, det_exact, kron_all
+from .matricizer import coefficient_matrix, optimal_split, permutation_set
 from .scalars import ComplexRational, ZERO
-from .states import QuditState, ZeroStateError, multiindex_of, total_dim
+from .states import QuditState, ZeroStateError, total_dim
 
 
 class ZeroResultError(ZeroStateError):
@@ -71,11 +68,6 @@ class LocalOperatorSet:
     def invertible(self) -> bool:
         return all(not det_exact(op.matrix).is_zero() for op in self.operators)
 
-    def inverses(self) -> "LocalOperatorSet":
-        return LocalOperatorSet(
-            [LocalOperator(op.site, invert_exact(op.matrix)) for op in self.operators]
-        )
-
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "LocalOperatorSet":
         return cls(
@@ -119,43 +111,43 @@ def apply_local(state: QuditState, ops: LocalOperatorSet) -> QuditState:
     return QuditState(dims, amps)
 
 
-def verify_theorem1(
-    state: QuditState,
-    ops: LocalOperatorSet,
-    l: int,
-    sigma: QuditPermutation = QuditPermutation(()),
-) -> bool:
+def verify_theorem1(state: QuditState, ops: LocalOperatorSet) -> bool:
     """Exact check of the matricization identity for local transformations.
 
     With psi = (F_1 x ... x F_n) phi, the coefficient matrix of psi under
     (l, sigma) must equal (x_{row block} F) M^sigma(phi) (x_{col block} F)^T,
-    each factor travelling with its qudit under sigma. Holds for arbitrary,
-    including singular, factors; if the transformed state is the zero vector
-    the identity is checked against the zero matrix.
+    each factor travelling with its qudit under sigma. Checked at every split
+    l = 1..n-1 and every sigma of its canonical set, all against one psi.
+    Holds for arbitrary, including singular, factors; if the transformed
+    state is the zero vector every right-hand side must be the zero matrix.
     """
-    ops.check_dims(state.dims)
     n = state.n
-    order = sigma.site_order(n)
-    row_factors = [ops[q].matrix for q in order[:l]]
-    col_factors = [ops[q].matrix for q in order[l:]]
-    m_phi = coefficient_matrix(state, l, sigma).to_matrix()
-    rhs = kron_all(row_factors).matmul(m_phi).matmul(kron_all(col_factors).transpose())
     try:
         psi = apply_local(state, ops)
     except ZeroResultError:
-        return all(x.is_zero() for row in rhs.data for x in row)
-    m_psi = coefficient_matrix(psi, l, sigma).to_matrix()
-    return m_psi == rhs
+        psi = None
+    for l in range(1, n):
+        for sigma in permutation_set(n, l, state.dims):
+            order = sigma.site_order(n)
+            row_factors = kron_all([ops[q].matrix for q in order[:l]])
+            col_factors = kron_all([ops[q].matrix for q in order[l:]])
+            m_phi = coefficient_matrix(state, l, sigma).to_matrix()
+            rhs = row_factors.matmul(m_phi).matmul(col_factors.transpose())
+            if psi is None:
+                if any(not x.is_zero() for row in rhs.data for x in row):
+                    return False
+            elif coefficient_matrix(psi, l, sigma).to_matrix() != rhs:
+                return False
+    return True
 
 
 def rank_table(state: QuditState) -> Dict[Tuple[int, str], int]:
     """Exact ranks at every split l and every sigma in its canonical set."""
     out: Dict[Tuple[int, str], int] = {}
-    n = state.n
-    for l in range(1, n):
-        for sigma in permutation_set(n, l, state.dims):
-            m = coefficient_matrix(state, l, sigma).to_matrix()
-            out[(l, sigma.label())] = rank_exact(m).rank
+    for l in range(1, state.n):
+        sig = signature(state, l)
+        for label, rank in zip(sig.sigma_set.labels(), sig.ranks):
+            out[(l, label)] = rank
     return out
 
 
@@ -325,26 +317,17 @@ def run_theorem1_trials(
     entry_bound: int = 3,
 ) -> List[dict]:
     """Randomized identity + signature-invariance trials for invertible ops."""
-    from .classifier import signature
-
     rng = random.Random(seed)
     records = []
     for t in range(trials):
         trial_dims = tuple(dims) if dims else random_dims(rng)
         state = random_sparse_state(trial_dims, rng)
         ops = random_ilo_set(trial_dims, rng, entry_bound)
-        n = len(trial_dims)
-        identity_ok = True
-        pair_ranks = {}
-        for l in range(1, n):
-            for sigma in permutation_set(n, l, trial_dims):
-                if not verify_theorem1(state, ops, l, sigma):
-                    identity_ok = False
-        sig_before = signature(state)
-        sig_after = signature(apply_local(state, ops))
-        sig_ok = sig_before.ranks == sig_after.ranks
-        for (l, lab), (b, a) in check_monotone_nonincrease(state, ops)[1].items():
-            pair_ranks[f"l={l} sigma={lab}"] = [b, a]
+        identity_ok = verify_theorem1(state, ops)
+        pairs = check_monotone_nonincrease(state, ops)[1]
+        # the signature is the rank tuple at the optimal split
+        l_opt = optimal_split(trial_dims)
+        sig_ok = all(b == a for (l, _), (b, a) in pairs.items() if l == l_opt)
         records.append(
             {
                 "trial": t,
@@ -352,7 +335,9 @@ def run_theorem1_trials(
                 "identity_ok": identity_ok,
                 "signature_ok": sig_ok,
                 "result": "pass" if identity_ok and sig_ok else "fail",
-                "ranks": pair_ranks,
+                "ranks": {
+                    f"l={l} sigma={lab}": [b, a] for (l, lab), (b, a) in pairs.items()
+                },
             }
         )
     return records

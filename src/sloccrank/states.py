@@ -241,11 +241,19 @@ def state_to_json(state: QuditState) -> dict:
     }
 
 
+def _int_array(value) -> list:
+    """A JSON array of integers; floats and booleans do not count as integers."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise TypeError(f"expected an array of integers, got {value!r}")
+    return value
+
+
 def state_from_json(obj) -> QuditState:
     """Strict parser for the state JSON schema.
 
-    Unknown fields, duplicate indices, malformed rationals, out-of-range
-    digits and the zero state are all rejected with distinct messages.
+    Unknown fields, non-integer dims or digits, duplicate indices, malformed
+    rationals, out-of-range digits and the zero state are all rejected with
+    distinct messages.
     """
     if not isinstance(obj, dict):
         raise StateFormatError("state document must be a JSON object")
@@ -255,7 +263,7 @@ def state_from_json(obj) -> QuditState:
     if "dims" not in obj or "amplitudes" not in obj:
         raise StateFormatError("state document needs 'dims' and 'amplitudes'")
     try:
-        dims = check_dims(obj["dims"])
+        dims = check_dims(_int_array(obj["dims"]))
     except (TypeError, ValueError) as exc:
         raise StateFormatError(f"bad dims: {exc}") from exc
     if not isinstance(obj["amplitudes"], list):
@@ -272,7 +280,7 @@ def state_from_json(obj) -> QuditState:
         if "index" not in entry:
             raise StateFormatError(f"amplitude #{pos}: missing 'index'")
         try:
-            i = flat_index(entry["index"], dims)
+            i = flat_index(_int_array(entry["index"]), dims)
         except (InvalidIndexError, TypeError) as exc:
             raise StateFormatError(f"amplitude #{pos}: {exc}") from exc
         if i in amps:

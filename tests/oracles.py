@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity by a route disjoint from the library's
 implementation: explicit enumeration, brute-force contraction, modular-prime
-elimination. They are deliberately slow and simple.
+elimination, rational Gauss(-Jordan) elimination. They are deliberately slow
+and simple.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from itertools import product
 
 from sloccrank.linalg import ExactMatrix
-from sloccrank.scalars import ComplexRational, ZERO
+from sloccrank.scalars import ComplexRational, ONE, ZERO
+from sloccrank.slocc import LocalOperator, LocalOperatorSet
 from sloccrank.states import QuditState, multiindex_of
 
 # prime = 3 (mod 4), so x^2 = -1 has no root and GF(p^2) = GF(p)[i]
@@ -66,6 +68,63 @@ def rank_mod_prime(m: ExactMatrix, p: int = _P) -> int:
             ]
         rank += 1
     return rank
+
+
+def det_rational(m: ExactMatrix) -> ComplexRational:
+    """Determinant by Gaussian elimination over the complex rationals."""
+    n = m.rows
+    a = [list(row) for row in m.data]
+    det = ONE
+    for col in range(n):
+        sel = None
+        for r in range(col, n):
+            if not a[r][col].is_zero():
+                sel = r
+                break
+        if sel is None:
+            return ZERO
+        if sel != col:
+            a[col], a[sel] = a[sel], a[col]
+            det = -det
+        pivot = a[col][col]
+        det = det * pivot
+        for r in range(col + 1, n):
+            f = a[r][col] / pivot
+            if f.is_zero():
+                continue
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def invert_exact(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a square invertible matrix (Gauss-Jordan)."""
+    n = m.rows
+    a = [list(row) + list(ident_row) for row, ident_row in
+         zip(m.data, ExactMatrix.identity(n).data)]
+    for col in range(n):
+        sel = None
+        for r in range(col, n):
+            if not a[r][col].is_zero():
+                sel = r
+                break
+        if sel is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[sel] = a[sel], a[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        for r in range(n):
+            if r == col or a[r][col].is_zero():
+                continue
+            f = a[r][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return ExactMatrix([row[n:] for row in a])
+
+
+def invert_ops(ops: LocalOperatorSet) -> LocalOperatorSet:
+    """The local operator set of the inverses, site by site."""
+    return LocalOperatorSet(
+        [LocalOperator(op.site, invert_exact(op.matrix)) for op in ops]
+    )
 
 
 def partial_trace(state: QuditState, keep_sites) -> ExactMatrix:

@@ -1,4 +1,4 @@
-"""Exact (fraction-free) and numeric rank, determinant, inverse."""
+"""Exact (fraction-free) and numeric rank, determinant; the inverse oracle."""
 
 import random
 from fractions import Fraction
@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from sloccrank.linalg import (
     ExactMatrix,
     det_exact,
-    invert_exact,
     kron_all,
     rank_exact,
     rank_numeric,
 )
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 
-from oracles import rank_mod_prime
+from oracles import det_rational, invert_exact, rank_mod_prime
 
 
 def random_int_matrix(rng, rows, cols, bound=5, complex_entries=True):
@@ -151,7 +150,8 @@ def test_rank_agrees_with_modular_oracle(m):
 def test_rank_invariant_under_transpose_and_scaling(m):
     r = rank_exact(m).rank
     assert rank_exact(m.transpose()).rank == r
-    scaled = m.scale_row(0, ComplexRational(Fraction(-3, 7), Fraction(2, 5)))
+    f = ComplexRational(Fraction(-3, 7), Fraction(2, 5))
+    scaled = ExactMatrix([[f * x for x in m.data[0]]] + m.data[1:])
     assert rank_exact(scaled).rank == r
 
 
@@ -212,3 +212,33 @@ def test_det_multiplicative(seed):
     a = random_int_matrix(rng, d, d, bound=3)
     b = random_int_matrix(rng, d, d, bound=3)
     assert det_exact(a.matmul(b)) == det_exact(a) * det_exact(b)
+
+
+@st.composite
+def det_test_matrices(draw):
+    """Square matrices with rational entries, a zero first pivot or a singularity."""
+    d = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    grid = [
+        [
+            ComplexRational(
+                Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6])),
+                Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 5])),
+            )
+            for _ in range(d)
+        ]
+        for _ in range(d)
+    ]
+    shape = draw(st.sampled_from(["plain", "zero_pivot", "dependent_row"]))
+    if shape == "zero_pivot":
+        grid[0][0] = ZERO
+    elif shape == "dependent_row" and d > 1:
+        f = ComplexRational(Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2))
+        grid[-1] = [f * x for x in grid[0]]
+    return ExactMatrix(grid)
+
+
+@given(det_test_matrices())
+@settings(max_examples=120, deadline=None)
+def test_det_matches_rational_elimination_oracle(m):
+    assert det_exact(m) == det_rational(m)

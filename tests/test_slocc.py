@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sloccrank.classifier
+import sloccrank.slocc
 from sloccrank.linalg import ExactMatrix, det_exact, rank_exact
 from sloccrank.matricizer import QuditPermutation, permutation_set
 from sloccrank.scalars import ComplexRational
@@ -27,7 +29,7 @@ from sloccrank.slocc import (
 )
 from sloccrank.states import QuditState, flat_index, gen_ghz, gen_w, total_dim
 
-from oracles import apply_dense
+from oracles import apply_dense, invert_ops
 
 
 def dicts_equal(state, amp_map):
@@ -56,7 +58,7 @@ def test_operator_set_validates_sites_and_dims():
 def test_operator_set_inverses():
     rng = random.Random(3)
     ops = random_ilo_set((2, 3), rng)
-    inv = ops.inverses()
+    inv = invert_ops(ops)
     for op, iop in zip(ops, inv):
         assert op.matrix.matmul(iop.matrix) == ExactMatrix.identity(op.dim)
 
@@ -127,17 +129,14 @@ def test_apply_inverse_restores_state(seed):
     dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
     s = random_sparse_state(dims, rng)
     ops = random_ilo_set(dims, rng)
-    assert apply_local(apply_local(s, ops), ops.inverses()) == s
+    assert apply_local(apply_local(s, ops), invert_ops(ops)) == s
 
 
 # -- matricization identity -------------------------------------------------
 
 def test_identity_holds_for_identity_ops():
     s = gen_ghz(4, 2)
-    ops = LocalOperatorSet.identity(s.dims)
-    for l in range(1, 4):
-        for sigma in permutation_set(4, l):
-            assert verify_theorem1(s, ops, l, sigma)
+    assert verify_theorem1(s, LocalOperatorSet.identity(s.dims))
 
 
 @given(st.integers(0, 10**6))
@@ -146,11 +145,7 @@ def test_identity_holds_for_random_invertible_ops(seed):
     rng = random.Random(seed)
     dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
     s = random_sparse_state(dims, rng)
-    ops = random_ilo_set(dims, rng)
-    n = len(dims)
-    for l in range(1, n):
-        for sigma in permutation_set(n, l, dims):
-            assert verify_theorem1(s, ops, l, sigma)
+    assert verify_theorem1(s, random_ilo_set(dims, rng))
 
 
 @given(st.integers(0, 10**6))
@@ -159,11 +154,31 @@ def test_identity_holds_for_singular_ops(seed):
     rng = random.Random(seed)
     dims = random_dims(rng, max_sites=3, max_dim=3, max_total=27)
     s = random_sparse_state(dims, rng)
-    ops = random_possibly_singular_set(dims, rng)
-    n = len(dims)
-    for l in range(1, n):
-        for sigma in permutation_set(n, l, dims):
-            assert verify_theorem1(s, ops, l, sigma)
+    assert verify_theorem1(s, random_possibly_singular_set(dims, rng))
+
+
+def test_identity_holds_when_ops_annihilate_the_state():
+    # projecting site 1 onto |0> kills |101>, so psi = 0 and every
+    # right-hand side must be the zero matrix
+    p0 = ExactMatrix.from_ints([[1, 0], [0, 0]])
+    i2 = ExactMatrix.identity(2)
+    s = QuditState((2, 2, 2), {flat_index((1, 0, 1), (2, 2, 2)): ComplexRational(1)})
+    ops = LocalOperatorSet(
+        [LocalOperator(1, p0), LocalOperator(2, i2), LocalOperator(3, i2)]
+    )
+    with pytest.raises(ZeroResultError):
+        apply_local(s, ops)
+    assert verify_theorem1(s, ops)
+
+
+def test_identity_detects_a_wrong_psi(monkeypatch):
+    # psi taken from W instead of GHZ must break the identity
+    s = gen_ghz(3, 2)
+    ops = random_ilo_set(s.dims, random.Random(4))
+    monkeypatch.setattr(
+        sloccrank.slocc, "apply_local", lambda state, o: apply_local(gen_w(3), o)
+    )
+    assert not verify_theorem1(s, ops)
 
 
 def test_identity_detects_wrong_routing():
@@ -276,3 +291,28 @@ def test_monotone_harness_passes_and_reports_skips():
     for r in records:
         if r["result"] == "skip":
             assert "ranks" not in r
+
+
+def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
+    calls = {"apply_local": 0, "rank_exact": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(
+        sloccrank.slocc, "apply_local", counting("apply_local", apply_local)
+    )
+    monkeypatch.setattr(
+        sloccrank.classifier, "rank_exact", counting("rank_exact", rank_exact)
+    )
+    records = run_theorem1_trials(3, seed=20260823)
+    assert all(r["result"] == "pass" for r in records)
+    assert calls["apply_local"] <= 2 * len(records)
+    expected_ranks = 0
+    for r in records:
+        n = len(r["dims"])
+        expected_ranks += 2 * sum(len(permutation_set(n, l)) for l in range(1, n))
+    assert calls["rank_exact"] == expected_ranks

@@ -252,6 +252,15 @@ def test_json_schema_rejections():
     with pytest.raises(StateFormatError, match="bad dims"):
         state_from_json({"dims": [2], "amplitudes": []})
 
+    for index in ([0.0, 1], [True, False]):
+        bad = dict(base, amplitudes=[{"index": index, "re": "1", "im": "0"}])
+        with pytest.raises(StateFormatError, match="array of integers"):
+            state_from_json(bad)
+
+    for dims in ([2.5, 2], [True, 2]):
+        with pytest.raises(StateFormatError, match="bad dims"):
+            state_from_json(dict(base, dims=dims))
+
     with pytest.raises(StateFormatError):
         state_from_json([1, 2])
 
