@@ -82,11 +82,11 @@ def _cmd_rank(args) -> int:
     state = load_state(args.state)
     l = _resolve_split(state, args.l)
     sigma = QuditPermutation.parse(args.sigma)
-    m = coefficient_matrix(state, l, sigma).to_matrix()
+    cm = coefficient_matrix(state, l, sigma)
     if args.numeric:
-        result = rank_numeric(m, safety=args.safety)
+        result = rank_numeric(cm.to_matrix(), safety=args.safety)
     else:
-        result = rank_exact(m)
+        result = rank_exact(cm.support())
     print(f"rank={result.rank} method={result.method} l={l} sigma={sigma.label()}")
     return 0
 
@@ -106,7 +106,7 @@ def _cmd_classify(args) -> int:
     states = [load_state(p) for p in args.states]
     l = _resolve_split(states[0], args.l)
     groups = classify(states, l, ids=list(args.states))
-    pset = permutation_set(states[0].n, l, states[0].dims)
+    pset = permutation_set(states[0].n, l)
     _write(classify_to_csv(groups, l, pset), args.out)
     return 0
 

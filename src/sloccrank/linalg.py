@@ -2,15 +2,19 @@
 
 The exact rank path scales each row to Gaussian-integer form, drops zero and
 duplicate rows/columns (rank-invariant), and runs one-step fraction-free
-(Bareiss) elimination on raw integer pairs. The numeric path is an SVD
-cross-check only; classification never depends on it.
+(Bareiss) elimination on raw integer pairs. The drop is `distinct_support`,
+which reads sparse (row, col, value) triples: `rank_exact` feeds it the cells
+of a dense matrix, and `CoefficientMatrix.support` feeds it a matricization's
+entries, so a sparse state reaches elimination without its zero grid ever
+being built. The numeric path is an SVD cross-check only; classification
+never depends on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -197,35 +201,63 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
     return piv, pivots
 
 
+def distinct_support(
+    entries: Iterable[Tuple[int, int, Hashable]], zero: Hashable
+) -> Tuple[List[int], List[int], List[list]]:
+    """Distinct nonzero rows x distinct nonzero columns of a sparse matrix.
+
+    entries holds one (row, col, value) triple per nonzero position, in
+    row-major order, so zero rows and columns are absent; repeats of an
+    earlier row or column are dropped too. Neither changes the rank. The
+    first occurrence in index order is kept. Returns (kept row ids, kept
+    column ids, the kept block as a dense grid filled with zero).
+    """
+    codes: Dict[Hashable, int] = {}  # value -> small int, hashed once
+    by_row: Dict[int, list] = {}
+    for r, c, v in entries:
+        by_row.setdefault(r, []).append((c, codes.setdefault(v, len(codes))))
+    seen = set()
+    kept_rows: List[int] = []
+    by_col: Dict[int, list] = {}  # column -> [(kept row position, code)]
+    for r, row in by_row.items():
+        row = tuple(row)
+        if row in seen:
+            continue
+        seen.add(row)
+        pos = len(kept_rows)
+        for c, k in row:
+            by_col.setdefault(c, []).append((pos, k))
+        kept_rows.append(r)
+    seen = set()
+    kept_cols: List[int] = []
+    for c in sorted(by_col):
+        col = tuple(by_col[c])
+        if col in seen:
+            continue
+        seen.add(col)
+        kept_cols.append(c)
+    values = list(codes)
+    grid = [[zero] * len(kept_cols) for _ in kept_rows]
+    for j, c in enumerate(kept_cols):
+        for pos, k in by_col[c]:
+            grid[pos][j] = values[k]
+    return kept_rows, kept_cols, grid
+
+
 def rank_exact(m: ExactMatrix) -> RankResult:
     """Exact rank over the complex rationals; deterministic for equal input."""
     grid = _gaussian_rows(m)
-    zero = (0, 0)
-    # drop zero rows, dedupe rows (keep first occurrence)
-    seen = {}
-    kept_rows: List[int] = []
-    for r, row in enumerate(grid):
-        key = tuple(row)
-        if all(x == zero for x in row):
-            continue
-        if key not in seen:
-            seen[key] = r
-            kept_rows.append(r)
+    kept_rows, kept_cols, reduced = distinct_support(
+        (
+            (r, c, x)
+            for r, row in enumerate(grid)
+            for c, x in enumerate(row)
+            if x != (0, 0)
+        ),
+        (0, 0),
+    )
     if not kept_rows:
         return RankResult(0, "exact", ())
-    sub = [grid[r] for r in kept_rows]
-    # restrict to nonzero columns, dedupe columns
-    ncols = m.cols
-    col_seen = {}
-    kept_cols: List[int] = []
-    for c in range(ncols):
-        col = tuple(row[c] for row in sub)
-        if all(x == zero for x in col):
-            continue
-        if col not in col_seen:
-            col_seen[col] = c
-            kept_cols.append(c)
-    reduced = [[row[c] for c in kept_cols] for row in sub]
     rank, piv = _bareiss_rank(reduced)
     pivots = tuple((kept_rows[r], kept_cols[c]) for r, c in piv)
     return RankResult(rank, "exact", pivots)

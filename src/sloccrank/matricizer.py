@@ -15,17 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Sequence, Tuple
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, distinct_support
 from .scalars import ComplexRational, ZERO
-from .states import (
-    QuditState,
-    check_dims,
-    flat_index,
-    multiindex_of,
-    total_dim,
-)
+from .states import QuditState, check_dims, reorder_indices, total_dim
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ def _sigmas_general(n: int, l: int) -> List[QuditPermutation]:
     return out
 
 
-def permutation_set(n: int, l: int, dims: Sequence[int] | None = None) -> PermutationSet:
+def permutation_set(n: int, l: int) -> PermutationSet:
     """Canonical permutation set: ascending k, then lex on rows, then columns.
 
     For l = 1 this is the single-site family sigma_k = (1, k+1), k = 0..n-1.
@@ -154,21 +149,28 @@ class CoefficientMatrix:
             grid[r][c] = v
         return ExactMatrix(grid)
 
+    def support(self) -> ExactMatrix:
+        """The distinct nonzero rows x distinct nonzero columns.
+
+        Same rank as to_matrix(), built from the entries without the zero
+        cells of the full grid.
+        """
+        return ExactMatrix(distinct_support(self.entries, ZERO)[2])
+
 
 def _matricize_by_order(
-    state: QuditState, order: Sequence[int], l: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Dict[Tuple[int, int], ComplexRational]]:
-    dims = state.dims
-    perm_dims = tuple(dims[q - 1] for q in order)
-    row_dims, col_dims = perm_dims[:l], perm_dims[l:]
-    entries: Dict[Tuple[int, int], ComplexRational] = {}
-    for i, a in state.amplitudes.items():
-        digits = multiindex_of(i, dims)
-        pd = tuple(digits[q - 1] for q in order)
-        r = flat_index(pd[:l], row_dims)
-        c = flat_index(pd[l:], col_dims)
-        entries[(r, c)] = a
-    return row_dims, col_dims, entries
+    state: QuditState, order: Sequence[int], l: int, sigma: QuditPermutation
+) -> CoefficientMatrix:
+    """Rows: the first l sites of order; columns: the rest."""
+    perm_dims = tuple(state.dims[q - 1] for q in order)
+    cols = total_dim(perm_dims[l:])
+    amps = state.amplitudes
+    moved = sorted(
+        zip(reorder_indices(amps, state.dims, order), amps.values()),
+        key=itemgetter(0),
+    )
+    entries = tuple((*divmod(j, cols), a) for j, a in moved)
+    return CoefficientMatrix(l, sigma, perm_dims[:l], perm_dims[l:], entries)
 
 
 def coefficient_matrix(
@@ -183,12 +185,7 @@ def coefficient_matrix(
                 f"transposition ({r},{c}) invalid for n={n}, l={l}: "
                 "rows must come from the row block, columns from the column block"
             )
-    order = sigma.site_order(n)
-    row_dims, col_dims, entries = _matricize_by_order(state, order, l)
-    packed = tuple(
-        (r, c, v) for (r, c), v in sorted(entries.items())
-    )
-    return CoefficientMatrix(l, sigma, row_dims, col_dims, packed)
+    return _matricize_by_order(state, sigma.site_order(n), l, sigma)
 
 
 def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix:
@@ -202,13 +199,10 @@ def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix
     if len(set(sites)) != len(sites) or any(not 1 <= q <= n for q in sites):
         raise ValueError(f"invalid site subset {sites} for n={n}")
     rest = [q for q in range(1, n + 1) if q not in sites]
-    order = tuple(sites + rest)
-    row_dims, col_dims, entries = _matricize_by_order(state, order, len(sites))
-    rows, cols = total_dim(row_dims), total_dim(col_dims)
-    grid = [[ZERO] * cols for _ in range(rows)]
-    for (r, c), v in entries.items():
-        grid[r][c] = v
-    m = ExactMatrix(grid)
+    # the order is no transposition product; sigma only labels the matrix
+    m = _matricize_by_order(
+        state, sites + rest, len(sites), QuditPermutation(())
+    ).to_matrix()
     return m.matmul(m.dagger())
 
 

@@ -111,7 +111,9 @@ def apply_local(state: QuditState, ops: LocalOperatorSet) -> QuditState:
     return QuditState(dims, amps)
 
 
-def verify_theorem1(state: QuditState, ops: LocalOperatorSet) -> bool:
+def verify_theorem1(
+    state: QuditState, ops: LocalOperatorSet, psi: Optional[QuditState] = None
+) -> bool:
     """Exact check of the matricization identity for local transformations.
 
     With psi = (F_1 x ... x F_n) phi, the coefficient matrix of psi under
@@ -120,14 +122,16 @@ def verify_theorem1(state: QuditState, ops: LocalOperatorSet) -> bool:
     l = 1..n-1 and every sigma of its canonical set, all against one psi.
     Holds for arbitrary, including singular, factors; if the transformed
     state is the zero vector every right-hand side must be the zero matrix.
+    psi is computed here unless the caller already has it.
     """
     n = state.n
-    try:
-        psi = apply_local(state, ops)
-    except ZeroResultError:
-        psi = None
+    if psi is None:
+        try:
+            psi = apply_local(state, ops)
+        except ZeroResultError:
+            pass
     for l in range(1, n):
-        for sigma in permutation_set(n, l, state.dims):
+        for sigma in permutation_set(n, l):
             order = sigma.site_order(n)
             row_factors = kron_all([ops[q].matrix for q in order[:l]])
             col_factors = kron_all([ops[q].matrix for q in order[l:]])
@@ -152,16 +156,17 @@ def rank_table(state: QuditState) -> Dict[Tuple[int, str], int]:
 
 
 def check_monotone_nonincrease(
-    state: QuditState, ops: LocalOperatorSet
+    state: QuditState, ops: LocalOperatorSet, psi: Optional[QuditState] = None
 ) -> Tuple[bool, Dict[Tuple[int, str], Tuple[int, int]]]:
     """True iff no coefficient-matrix rank grows under the local operators.
 
     Returns (ok, {(l, sigma): (rank_before, rank_after)}). Raises
     ZeroResultError when the operators annihilate the state; callers count
-    those trials as skips, not failures.
+    those trials as skips, not failures. psi, the transformed state, is
+    computed here unless the caller already has it.
     """
     before = rank_table(state)
-    after = rank_table(apply_local(state, ops))
+    after = rank_table(apply_local(state, ops) if psi is None else psi)
     pairs = {key: (before[key], after[key]) for key in before}
     ok = all(b >= a for b, a in pairs.values())
     return ok, pairs
@@ -323,8 +328,10 @@ def run_theorem1_trials(
         trial_dims = tuple(dims) if dims else random_dims(rng)
         state = random_sparse_state(trial_dims, rng)
         ops = random_ilo_set(trial_dims, rng, entry_bound)
-        identity_ok = verify_theorem1(state, ops)
-        pairs = check_monotone_nonincrease(state, ops)[1]
+        # invertible operators never annihilate the state
+        psi = apply_local(state, ops)
+        identity_ok = verify_theorem1(state, ops, psi)
+        pairs = check_monotone_nonincrease(state, ops, psi)[1]
         # the signature is the rank tuple at the optimal split
         l_opt = optimal_split(trial_dims)
         sig_ok = all(b == a for (l, _), (b, a) in pairs.items() if l == l_opt)

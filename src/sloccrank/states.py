@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .scalars import ComplexRational, format_rational, parse_rational
 
@@ -127,6 +127,38 @@ class QuditState:
         return f"QuditState(dims={self.dims}, terms={len(self.amplitudes)})"
 
 
+def reorder_indices(
+    indices: Collection[int], dims: Sequence[int], order: Sequence[int]
+) -> List[int]:
+    """Flat indices under dims -> flat indices after a site reorder.
+
+    New position i holds the original site order[i] (1-based). Each site's
+    digit moves from its stride under dims to its stride under the permuted
+    dims; sites that stay adjacent and in order move as one mixed-radix
+    digit. Pure Python ints, so any total dimension works.
+    """
+    n = len(dims)
+    weight = [0] * n  # stride of each (0-based) site after the reorder
+    w = 1
+    for q in reversed(order):
+        weight[q - 1] = w
+        w *= dims[q - 1]
+    # (old stride, digit size, new stride), last site first
+    radix: List[Tuple[int, int, int]] = []
+    old = 1
+    for q in range(n - 1, -1, -1):
+        if radix and weight[q] == weight[q + 1] * dims[q + 1]:
+            o, size, stride = radix[-1]
+            radix[-1] = (o, size * dims[q], stride)
+        else:
+            radix.append((old, dims[q], weight[q]))
+        old *= dims[q]
+    out = [0] * len(indices)
+    for o, size, stride in radix:
+        out = [j + i // o % size * stride for j, i in zip(out, indices)]
+    return out
+
+
 def permute_qudits(state: QuditState, perm: Sequence[int]) -> QuditState:
     """Reorder sites: new position i holds the original site perm[i] (1-based).
 
@@ -137,13 +169,10 @@ def permute_qudits(state: QuditState, perm: Sequence[int]) -> QuditState:
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm {perm} is not a permutation of 1..{n}")
+    amps = state.amplitudes
     new_dims = tuple(state.dims[p - 1] for p in perm)
-    new_amps: Dict[int, ComplexRational] = {}
-    for i, a in state.amplitudes.items():
-        digits = multiindex_of(i, state.dims)
-        new_digits = tuple(digits[p - 1] for p in perm)
-        new_amps[flat_index(new_digits, new_dims)] = a
-    return QuditState(new_dims, new_amps)
+    moved = reorder_indices(amps, state.dims, perm)
+    return QuditState(new_dims, dict(zip(moved, amps.values())))
 
 
 def invert_permutation(perm: Sequence[int]) -> Tuple[int, ...]:
@@ -184,23 +213,21 @@ def gen_w(n: int) -> QuditState:
 def _symmetric_state(levels: int, n: int, counts: Sequence[int]) -> QuditState:
     """Equal superposition over all arrangements of the given level counts."""
     dims = (levels,) * n
+    weights = [levels ** (n - 1 - p) for p in range(n)]
     one = ComplexRational(1)
     amps: Dict[int, ComplexRational] = {}
     # place level 1, then 2, ... into the free positions; the remainder is 0s
-    def place(level: int, free: Tuple[int, ...], digits: list) -> None:
-        if level > len(counts):
-            amps[flat_index(digits, dims)] = one
-            return
+    def place(level: int, free: Tuple[int, ...], index: int) -> None:
         c = counts[level - 1]
+        if level == len(counts):
+            for ws in combinations([weights[p] for p in free], c):
+                amps[index + level * sum(ws)] = one
+            return
         for positions in combinations(free, c):
-            for p in positions:
-                digits[p] = level
             rest = tuple(p for p in free if p not in positions)
-            place(level + 1, rest, digits)
-            for p in positions:
-                digits[p] = 0
+            place(level + 1, rest, index + level * sum(weights[p] for p in positions))
 
-    place(1, tuple(range(n)), [0] * n)
+    place(1, tuple(range(n)), 0)
     return QuditState(dims, amps)
 
 

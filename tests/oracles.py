@@ -13,7 +13,7 @@ from itertools import product
 from sloccrank.linalg import ExactMatrix
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import LocalOperator, LocalOperatorSet
-from sloccrank.states import QuditState, multiindex_of
+from sloccrank.states import QuditState, flat_index, multiindex_of
 
 # prime = 3 (mod 4), so x^2 = -1 has no root and GF(p^2) = GF(p)[i]
 _P = 1_000_000_007
@@ -187,14 +187,42 @@ def apply_dense(state: QuditState, matrices) -> dict:
     return out
 
 
+def reorder_by_digits(indices, dims, order) -> list:
+    """Flat indices after a site reorder, one multi-index at a time.
+
+    New position i holds the original site order[i] (1-based): split each
+    index into its digits, reorder them, and join them under the new dims.
+    """
+    new_dims = [dims[q - 1] for q in order]
+    out = []
+    for i in indices:
+        digits = multiindex_of(i, dims)
+        out.append(flat_index([digits[q - 1] for q in order], new_dims))
+    return out
+
+
+def permute_by_digits(state: QuditState, perm) -> QuditState:
+    """Site permutation of a state through reorder_by_digits."""
+    moved = reorder_by_digits(state.amplitudes, state.dims, perm)
+    new_dims = tuple(state.dims[q - 1] for q in perm)
+    return QuditState(new_dims, dict(zip(moved, state.amplitudes.values())))
+
+
+def symmetric_terms(levels: int, n: int, counts) -> set:
+    """Enumeration positions of the digit strings with the given occupations.
+
+    counts[k] is the number of digits equal to k + 1; the rest are 0.
+    """
+    return {
+        pos
+        for pos, tup in enumerate(product(range(levels), repeat=n))
+        if all(tup.count(lv + 1) == c for lv, c in enumerate(counts))
+    }
+
+
 def count_arrangements(n: int, counts) -> int:
     """Number of distinct digit strings with the given level occupations."""
-    total = 0
-    levels = len(counts) + 1
-    for tup in product(range(levels), repeat=n):
-        if all(tup.count(lv + 1) == c for lv, c in enumerate(counts)):
-            total += 1
-    return total
+    return len(symmetric_terms(len(counts) + 1, n, counts))
 
 
 def matched_occupation_classes(n: int, l: int, counts) -> int:

@@ -75,7 +75,7 @@ def test_c02_ghz_rank_is_local_dimension():
         for d in (2, 3, 4):
             state = gen_ghz(n, d)
             for l in range(1, n):
-                for sigma in permutation_set(n, l, state.dims):
+                for sigma in permutation_set(n, l):
                     r = rank_exact(
                         coefficient_matrix(state, l, sigma).to_matrix()
                     ).rank
@@ -138,7 +138,7 @@ def test_c07_reduced_density_consistency():
             rho = reduced_density(state, [q])
             if rho != partial_trace(state, [q]) or rho != rho.dagger():
                 ok = False
-            sigma = permutation_set(len(dims), 1, dims).sigmas[q - 1]
+            sigma = permutation_set(len(dims), 1).sigmas[q - 1]
             m = coefficient_matrix(state, 1, sigma).to_matrix()
             if rank_exact(rho).rank != rank_exact(m).rank:
                 ok = False

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import sloccrank.classifier
 from sloccrank.classifier import (
     RankSignature,
     ScanRow,
@@ -179,13 +180,40 @@ def test_dicke_d39_balanced_rank_confirmed_by_dual_oracle():
     assert rank_numeric(m).rank == 12
 
 
+@pytest.mark.parametrize(
+    "levels,n,pinned",
+    [
+        (3, 11, {(4, 4, 3): 16, (9, 1, 1): 4, (10, 0, 1): 2, (1, 5, 5): 11}),
+        (4, 9, {(3, 2, 2, 2): 22, (6, 1, 1, 1): 8, (8, 0, 0, 1): 2}),
+    ],
+)
+def test_dicke_scan_largest_accepted_n(levels, n, pinned):
+    pset, rows = dicke_scan(levels, n)
+    assert len(pset) == len(permutation_set(n, n // 2))
+    by_occ = {row.occupations: row.ranks for row in rows}
+    for occ, rank in pinned.items():
+        assert set(by_occ[occ]) == {rank}, occ
+    for row in rows:
+        expected = matched_occupation_classes(n, n // 2, row.occupations[1:])
+        assert set(row.ranks) == {expected}, row.occupations
+
+
+def test_dicke_scan_checks_full_symmetry(monkeypatch):
+    # |010> is fixed by the swap (1, 3) but not by (1, 2) or the 3-cycle
+    dims = (3, 3, 3)
+    ket = QuditState(dims, {flat_index((0, 1, 0), dims): ComplexRational(1)})
+    monkeypatch.setattr(sloccrank.classifier, "gen_dicke3", lambda *args: ket)
+    with pytest.raises(AssertionError):
+        dicke_scan(3, 3)
+
+
 def test_dicke_scan_rejects_out_of_range():
     with pytest.raises(ValueError):
         dicke_scan(5, 4)
     with pytest.raises(ValueError):
-        dicke_scan(3, 11)
+        dicke_scan(3, 12)
     with pytest.raises(ValueError):
-        dicke_scan(4, 9)
+        dicke_scan(4, 10)
 
 
 def test_scan_csv_layout():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sloccrank.linalg import rank_exact
+from sloccrank.linalg import ExactMatrix, rank_exact
 from sloccrank.matricizer import (
     CoefficientMatrix,
     PermutationSet,
@@ -20,7 +20,7 @@ from sloccrank.scalars import ComplexRational
 from sloccrank.slocc import random_sparse_state
 from sloccrank.states import QuditState, flat_index, gen_ghz, total_dim
 
-from oracles import partial_trace
+from oracles import partial_trace, rank_mod_prime
 
 dims_strategy = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -148,7 +148,7 @@ def test_matrix_shape_covers_full_space(dims, seed):
     s = random_sparse_state(dims, rng)
     n = len(dims)
     for l in range(1, n):
-        for sigma in permutation_set(n, l, dims):
+        for sigma in permutation_set(n, l):
             m = coefficient_matrix(s, l, sigma)
             assert m.rows * m.cols == total_dim(dims)
             assert sum(
@@ -166,6 +166,46 @@ def test_rank_is_transpose_symmetric_across_split(dims, seed):
     for l in range(1, n):
         m = coefficient_matrix(s, l).to_matrix()
         assert rank_exact(m).rank == rank_exact(m.transpose()).rank
+
+
+# few distinct values, some with non-unit denominators, so rows and columns
+# repeat and differ only by scale
+_VALUES = (
+    ComplexRational(1),
+    ComplexRational(-1),
+    ComplexRational(1, 0, 2),
+    ComplexRational(1, 2, 3),
+    ComplexRational(0, 1),
+)
+
+
+@given(dims_strategy, st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_support_rank_matches_full_matrix_and_mod_prime(dims, seed):
+    rng = random.Random(seed)
+    D = total_dim(dims)
+    k = rng.randint(1, min(D, 12))
+    s = QuditState(dims, {i: rng.choice(_VALUES) for i in rng.sample(range(D), k)})
+    n = len(dims)
+    for l in range(1, n):
+        for sigma in permutation_set(n, l):
+            cm = coefficient_matrix(s, l, sigma)
+            full = cm.to_matrix()
+            rank = rank_exact(cm.support()).rank
+            assert rank == rank_exact(full).rank == rank_mod_prime(full)
+
+
+def test_support_drops_zero_and_repeated_lines():
+    # row 1 is zero, rows 0 and 2 are (1, 2, 1) and (1, 0, 1); column 2
+    # repeats column 0
+    dims = (3, 3)
+    amps = {(0, 0): 1, (0, 1): 2, (0, 2): 1, (2, 0): 1, (2, 2): 1}
+    s = QuditState(
+        dims, {flat_index(k, dims): ComplexRational(v) for k, v in amps.items()}
+    )
+    cm = coefficient_matrix(s, 1)
+    assert cm.support() == ExactMatrix.from_ints([[1, 2], [1, 0]])
+    assert rank_exact(cm.support()).rank == rank_exact(cm.to_matrix()).rank == 2
 
 
 # -- reduced density --------------------------------------------------------

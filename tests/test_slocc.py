@@ -310,7 +310,7 @@ def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
     )
     records = run_theorem1_trials(3, seed=20260823)
     assert all(r["result"] == "pass" for r in records)
-    assert calls["apply_local"] <= 2 * len(records)
+    assert calls["apply_local"] == len(records)
     expected_ranks = 0
     for r in records:
         n = len(r["dims"])

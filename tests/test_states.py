@@ -23,13 +23,20 @@ from sloccrank.states import (
     load_state,
     multiindex_of,
     permute_qudits,
+    reorder_indices,
     save_state,
     state_from_json,
     state_to_json,
     total_dim,
 )
 
-from oracles import count_arrangements, lex_position
+from oracles import (
+    count_arrangements,
+    lex_position,
+    permute_by_digits,
+    reorder_by_digits,
+    symmetric_terms,
+)
 
 dims_strategy = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -128,6 +135,41 @@ def test_permute_then_inverse_is_identity(dims, rnd):
     assert t == s
 
 
+@given(dims_strategy, st.randoms(use_true_random=False))
+def test_reorder_indices_matches_digit_route(dims, rnd):
+    order = list(range(1, len(dims) + 1))
+    rnd.shuffle(order)
+    indices = rnd.sample(range(total_dim(dims)), min(20, total_dim(dims)))
+    assert reorder_indices(indices, dims, order) == reorder_by_digits(
+        indices, dims, order
+    )
+
+
+@given(dims_strategy, st.randoms(use_true_random=False))
+def test_permute_matches_digit_route(dims, rnd):
+    order = list(range(1, len(dims) + 1))
+    rnd.shuffle(order)
+    D = total_dim(dims)
+    amps = {
+        i: ComplexRational(rnd.randint(1, 3), rnd.randint(-2, 2), rnd.randint(1, 4))
+        for i in rnd.sample(range(D), min(6, D))
+    }
+    s = QuditState(dims, amps)
+    assert permute_qudits(s, order) == permute_by_digits(s, order)
+
+
+def test_reorder_indices_beyond_int64():
+    # 70 qubits and a qutrit: flat indices far above 2**63
+    dims = (2,) * 70 + (3,)
+    order = [71] + list(range(70, 0, -1))
+    D = total_dim(dims)
+    assert D > 2**64
+    indices = [0, 1, D // 3, D - 2, D - 1]
+    assert reorder_indices(indices, dims, order) == reorder_by_digits(
+        indices, dims, order
+    )
+
+
 def test_invert_permutation():
     assert invert_permutation((2, 3, 1)) == (3, 1, 2)
 
@@ -173,6 +215,18 @@ def test_dicke3_terms_explicit():
 def test_dicke4_term_count(n, counts):
     s = gen_dicke4(n, *counts)
     assert len(s.amplitudes) == count_arrangements(n, counts)
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dicke_terms_match_enumeration(levels, n):
+    gen = gen_dicke3 if levels == 3 else gen_dicke4
+    for counts in product(range(n), repeat=levels - 1):
+        if sum(counts) > n - 1:
+            continue
+        s = gen(n, *counts)
+        assert set(s.amplitudes) == symmetric_terms(levels, n, counts), counts
+        assert all(a == ComplexRational(1) for a in s.amplitudes.values())
 
 
 def test_dicke_site_permutation_invariance():
