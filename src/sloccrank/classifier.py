@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import rank_exact
@@ -202,15 +203,8 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
 
 
 def _occupation_tuples(levels: int, n: int):
-    if levels == 3:
-        for l1 in range(n):
-            for l2 in range(n - l1):
-                yield (l1, l2)
-    else:
-        for l1 in range(n):
-            for l2 in range(n - l1):
-                for l3 in range(n - l1 - l2):
-                    yield (l1, l2, l3)
+    """(l1, ..., l_{levels-1}) with sum < n, in lexicographic order."""
+    return (occ for occ in product(range(n), repeat=levels - 1) if sum(occ) < n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Exact matrices over complex rationals and tolerance-free rank.
 
-The exact rank path scales each row to Gaussian-integer form, drops zero and
-duplicate rows/columns (rank-invariant), and runs one-step fraction-free
-(Bareiss) elimination on raw integer pairs. The drop is `distinct_support`,
-which reads sparse (row, col, value) triples: `rank_exact` feeds it the cells
-of a dense matrix, and `CoefficientMatrix.support` feeds it a matricization's
-entries, so a sparse state reaches elimination without its zero grid ever
-being built. The numeric path is an SVD cross-check only; classification
-never depends on it.
+The exact rank path scales each row to Gaussian-integer form and runs
+one-step fraction-free (Bareiss) elimination on raw integer pairs; a dense
+matrix goes straight to elimination. Zero and duplicate rows/columns
+(rank-invariant) are dropped once, before a matricization is ever densified:
+`distinct_support` reads sparse (row, col, value) triples and
+`CoefficientMatrix.support` hands it a matricization's entries, so a sparse
+state reaches elimination without its zero grid ever being built. The
+numeric path is an SVD cross-check only; classification never depends on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -202,65 +202,38 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
 
 
 def distinct_support(
-    entries: Iterable[Tuple[int, int, Hashable]], zero: Hashable
-) -> Tuple[List[int], List[int], List[list]]:
+    entries: Iterable[Tuple[int, int, ComplexRational]]
+) -> List[List[ComplexRational]]:
     """Distinct nonzero rows x distinct nonzero columns of a sparse matrix.
 
     entries holds one (row, col, value) triple per nonzero position, in
     row-major order, so zero rows and columns are absent; repeats of an
     earlier row or column are dropped too. Neither changes the rank. The
-    first occurrence in index order is kept. Returns (kept row ids, kept
-    column ids, the kept block as a dense grid filled with zero).
+    first occurrence in index order is kept. Returns the kept block as a
+    dense grid.
     """
-    codes: Dict[Hashable, int] = {}  # value -> small int, hashed once
+    codes: Dict[ComplexRational, int] = {}  # value -> small int, hashed once
     by_row: Dict[int, list] = {}
     for r, c, v in entries:
         by_row.setdefault(r, []).append((c, codes.setdefault(v, len(codes))))
-    seen = set()
-    kept_rows: List[int] = []
+    rows = dict.fromkeys(tuple(row) for row in by_row.values())
     by_col: Dict[int, list] = {}  # column -> [(kept row position, code)]
-    for r, row in by_row.items():
-        row = tuple(row)
-        if row in seen:
-            continue
-        seen.add(row)
-        pos = len(kept_rows)
+    for pos, row in enumerate(rows):
         for c, k in row:
             by_col.setdefault(c, []).append((pos, k))
-        kept_rows.append(r)
-    seen = set()
-    kept_cols: List[int] = []
-    for c in sorted(by_col):
-        col = tuple(by_col[c])
-        if col in seen:
-            continue
-        seen.add(col)
-        kept_cols.append(c)
+    cols = dict.fromkeys(tuple(by_col[c]) for c in sorted(by_col))
     values = list(codes)
-    grid = [[zero] * len(kept_cols) for _ in kept_rows]
-    for j, c in enumerate(kept_cols):
-        for pos, k in by_col[c]:
+    grid = [[ZERO] * len(cols) for _ in rows]
+    for j, col in enumerate(cols):
+        for pos, k in col:
             grid[pos][j] = values[k]
-    return kept_rows, kept_cols, grid
+    return grid
 
 
 def rank_exact(m: ExactMatrix) -> RankResult:
     """Exact rank over the complex rationals; deterministic for equal input."""
-    grid = _gaussian_rows(m)
-    kept_rows, kept_cols, reduced = distinct_support(
-        (
-            (r, c, x)
-            for r, row in enumerate(grid)
-            for c, x in enumerate(row)
-            if x != (0, 0)
-        ),
-        (0, 0),
-    )
-    if not kept_rows:
-        return RankResult(0, "exact", ())
-    rank, piv = _bareiss_rank(reduced)
-    pivots = tuple((kept_rows[r], kept_cols[c]) for r, c in piv)
-    return RankResult(rank, "exact", pivots)
+    rank, pivots = _bareiss_rank(_gaussian_rows(m))
+    return RankResult(rank, "exact", tuple(pivots))
 
 
 def rank_numeric(m: ExactMatrix, safety: float = 100.0) -> RankResult:

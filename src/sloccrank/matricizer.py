@@ -155,7 +155,7 @@ class CoefficientMatrix:
         Same rank as to_matrix(), built from the entries without the zero
         cells of the full grid.
         """
-        return ExactMatrix(distinct_support(self.entries, ZERO)[2])
+        return ExactMatrix(distinct_support(self.entries))
 
 
 def _matricize_by_order(
@@ -210,16 +210,6 @@ def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix
 # split capacity and optimal split
 # ---------------------------------------------------------------------------
 
-def _capacity_sigma_count_shapes(n: int, l: int, dims: Tuple[int, ...]):
-    """(row product, col product) per sigma for the capacity formula."""
-    shapes = []
-    for sigma in _sigmas_general(n, l):
-        order = sigma.site_order(n)
-        perm = tuple(dims[q - 1] for q in order)
-        shapes.append((total_dim(perm[:l]), total_dim(perm[l:])))
-    return shapes
-
-
 def split_capacity(dims: Sequence[int], l: int) -> int:
     """Family-count capacity of a split.
 
@@ -235,8 +225,9 @@ def split_capacity(dims: Sequence[int], l: int) -> int:
     l_star = min(l, n - l)
     sorted_dims = tuple(sorted(dims, reverse=True))
     p = 1
-    for rows, cols in _capacity_sigma_count_shapes(n, l_star, sorted_dims):
-        p *= min(rows, cols)
+    for sigma in _sigmas_general(n, l_star):
+        perm = tuple(sorted_dims[q - 1] for q in sigma.site_order(n))
+        p *= min(total_dim(perm[:l_star]), total_dim(perm[l_star:]))
     return p
 
 

@@ -15,20 +15,18 @@ class ComplexRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=1, _normalized=False):
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            ra, rb = Fraction(a), Fraction(b)
-            den = ra.denominator * rb.denominator // gcd(
-                ra.denominator, rb.denominator
-            )
-            a = ra.numerator * (den // ra.denominator)
-            b = rb.numerator * (den // rb.denominator)
-            d = den * d
-            _normalized = False
-        if d == 0:
-            raise ZeroDivisionError("zero denominator")
         if _normalized:
             self.a, self.b, self.d = a, b, d
             return
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            # ints have .numerator and .denominator too
+            da, db = a.denominator, b.denominator
+            den = da * db // gcd(da, db)
+            a = a.numerator * (den // da)
+            b = b.numerator * (den // db)
+            d = den * d
+        if d == 0:
+            raise ZeroDivisionError("zero denominator")
         if d < 0:
             a, b, d = -a, -b, -d
         g = gcd(gcd(a, b), d)
@@ -56,7 +54,10 @@ class ComplexRational:
             return NotImplemented
         d1, d2 = self.d, other.d
         if d1 == 1 and d2 == 1:
-            return ComplexRational(self.a + other.a, self.b + other.b, 1)
+            # already canonical: gcd(a, b, 1) == 1
+            return ComplexRational(
+                self.a + other.a, self.b + other.b, 1, _normalized=True
+            )
         return ComplexRational(
             self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
         )

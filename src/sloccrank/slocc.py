@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classifier import signature
 from .linalg import ExactMatrix, det_exact, kron_all
@@ -176,34 +176,31 @@ def check_monotone_nonincrease(
 # random sampling (all deterministic given the seed)
 # ---------------------------------------------------------------------------
 
-def _random_matrix(d: int, rng: random.Random, entry_bound: int) -> ExactMatrix:
-    return ExactMatrix(
-        [
-            [
-                ComplexRational(
-                    rng.randint(-entry_bound, entry_bound),
-                    rng.randint(-entry_bound, entry_bound),
-                )
-                for _ in range(d)
-            ]
-            for _ in range(d)
-        ]
+ENTRY_BOUND = 3  # random entries are a + bi with |a|, |b| <= ENTRY_BOUND
+MAX_TERMS = 8  # random sparse states have 1..MAX_TERMS nonzero amplitudes
+
+
+def _gaussian(rng: random.Random) -> ComplexRational:
+    """Random Gaussian integer a + bi, real part drawn first."""
+    return ComplexRational(
+        rng.randint(-ENTRY_BOUND, ENTRY_BOUND), rng.randint(-ENTRY_BOUND, ENTRY_BOUND)
     )
 
 
+def _random_matrix(d: int, rng: random.Random) -> ExactMatrix:
+    return ExactMatrix([[_gaussian(rng) for _ in range(d)] for _ in range(d)])
+
+
 def random_ilo(
-    d: int,
-    seed: Optional[int] = None,
-    entry_bound: int = 3,
-    rng: Optional[random.Random] = None,
+    d: int, seed: Optional[int] = None, rng: Optional[random.Random] = None
 ) -> ExactMatrix:
     """Random Gaussian-integer matrix resampled until exactly invertible."""
-    if d < 2 or entry_bound < 1:
-        raise ValueError(f"need d >= 2 and entry_bound >= 1, got {d}, {entry_bound}")
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
     if rng is None:
         rng = random.Random(seed)
     for _ in range(1000):
-        m = _random_matrix(d, rng, entry_bound)
+        m = _random_matrix(d, rng)
         if not det_exact(m).is_zero():
             return m
     raise RuntimeError("could not sample an invertible matrix in 1000 attempts")
@@ -212,7 +209,6 @@ def random_ilo(
 def random_local_possibly_singular(
     d: int,
     seed: Optional[int] = None,
-    entry_bound: int = 3,
     force_singular: bool = False,
     rng: Optional[random.Random] = None,
 ) -> ExactMatrix:
@@ -226,43 +222,26 @@ def random_local_possibly_singular(
     if rng is None:
         rng = random.Random(seed)
     if not force_singular:
-        return _random_matrix(d, rng, entry_bound)
+        return _random_matrix(d, rng)
     terms = rng.randint(1, d - 1)
     grid = [[ZERO] * d for _ in range(d)]
     for _ in range(terms):
-        u = [
-            ComplexRational(
-                rng.randint(-entry_bound, entry_bound),
-                rng.randint(-entry_bound, entry_bound),
-            )
-            for _ in range(d)
-        ]
-        v = [
-            ComplexRational(
-                rng.randint(-entry_bound, entry_bound),
-                rng.randint(-entry_bound, entry_bound),
-            )
-            for _ in range(d)
-        ]
+        u = [_gaussian(rng) for _ in range(d)]
+        v = [_gaussian(rng) for _ in range(d)]
         for i in range(d):
             for j in range(d):
                 grid[i][j] = grid[i][j] + u[i] * v[j]
     return ExactMatrix(grid)
 
 
-def random_ilo_set(
-    dims: Sequence[int], rng: random.Random, entry_bound: int = 3
-) -> LocalOperatorSet:
+def random_ilo_set(dims: Sequence[int], rng: random.Random) -> LocalOperatorSet:
     return LocalOperatorSet(
-        [
-            LocalOperator(k + 1, random_ilo(d, entry_bound=entry_bound, rng=rng))
-            for k, d in enumerate(dims)
-        ]
+        [LocalOperator(k + 1, random_ilo(d, rng=rng)) for k, d in enumerate(dims)]
     )
 
 
 def random_possibly_singular_set(
-    dims: Sequence[int], rng: random.Random, entry_bound: int = 3
+    dims: Sequence[int], rng: random.Random
 ) -> LocalOperatorSet:
     ops = []
     for k, d in enumerate(dims):
@@ -270,9 +249,7 @@ def random_possibly_singular_set(
         ops.append(
             LocalOperator(
                 k + 1,
-                random_local_possibly_singular(
-                    d, entry_bound=entry_bound, force_singular=force, rng=rng
-                ),
+                random_local_possibly_singular(d, force_singular=force, rng=rng),
             )
         )
     return LocalOperatorSet(ops)
@@ -291,23 +268,15 @@ def random_dims(
             return dims
 
 
-def random_sparse_state(
-    dims: Sequence[int],
-    rng: random.Random,
-    max_terms: int = 8,
-    entry_bound: int = 3,
-) -> QuditState:
+def random_sparse_state(dims: Sequence[int], rng: random.Random) -> QuditState:
     D = total_dim(dims)
-    k = rng.randint(1, min(max_terms, D))
+    k = rng.randint(1, min(MAX_TERMS, D))
     indices = rng.sample(range(D), k)
     amps: Dict[int, ComplexRational] = {}
     for i in indices:
-        while True:
-            a = rng.randint(-entry_bound, entry_bound)
-            b = rng.randint(-entry_bound, entry_bound)
-            if a or b:
-                break
-        amps[i] = ComplexRational(a, b)
+        while (z := _gaussian(rng)).is_zero():
+            pass
+        amps[i] = z
     return QuditState(dims, amps)
 
 
@@ -315,19 +284,30 @@ def random_sparse_state(
 # trial harnesses (shared by the CLI and the acceptance suite)
 # ---------------------------------------------------------------------------
 
-def run_theorem1_trials(
+def _trials(
     trials: int,
     seed: int,
-    dims: Optional[Sequence[int]] = None,
-    entry_bound: int = 3,
-) -> List[dict]:
-    """Randomized identity + signature-invariance trials for invertible ops."""
+    dims: Optional[Sequence[int]],
+    sample_ops: Callable[[Sequence[int], random.Random], LocalOperatorSet],
+) -> Iterator[Tuple[int, Tuple[int, ...], QuditState, LocalOperatorSet]]:
+    """(trial, dims, state, ops) per trial, all drawn from one seeded rng."""
     rng = random.Random(seed)
-    records = []
     for t in range(trials):
         trial_dims = tuple(dims) if dims else random_dims(rng)
         state = random_sparse_state(trial_dims, rng)
-        ops = random_ilo_set(trial_dims, rng, entry_bound)
+        yield t, trial_dims, state, sample_ops(trial_dims, rng)
+
+
+def _rank_record(pairs: Dict[Tuple[int, str], Tuple[int, int]]) -> Dict[str, list]:
+    return {f"l={l} sigma={lab}": [b, a] for (l, lab), (b, a) in pairs.items()}
+
+
+def run_theorem1_trials(
+    trials: int, seed: int, dims: Optional[Sequence[int]] = None
+) -> List[dict]:
+    """Randomized identity + signature-invariance trials for invertible ops."""
+    records = []
+    for t, trial_dims, state, ops in _trials(trials, seed, dims, random_ilo_set):
         # invertible operators never annihilate the state
         psi = apply_local(state, ops)
         identity_ok = verify_theorem1(state, ops, psi)
@@ -342,39 +322,30 @@ def run_theorem1_trials(
                 "identity_ok": identity_ok,
                 "signature_ok": sig_ok,
                 "result": "pass" if identity_ok and sig_ok else "fail",
-                "ranks": {
-                    f"l={l} sigma={lab}": [b, a] for (l, lab), (b, a) in pairs.items()
-                },
+                "ranks": _rank_record(pairs),
             }
         )
     return records
 
 
 def run_monotone_trials(
-    trials: int,
-    seed: int,
-    dims: Optional[Sequence[int]] = None,
-    entry_bound: int = 3,
+    trials: int, seed: int, dims: Optional[Sequence[int]] = None
 ) -> List[dict]:
     """Randomized rank-nonincrease trials with possibly singular operators."""
-    rng = random.Random(seed)
     records = []
-    for t in range(trials):
-        trial_dims = tuple(dims) if dims else random_dims(rng)
-        state = random_sparse_state(trial_dims, rng)
-        ops = random_possibly_singular_set(trial_dims, rng, entry_bound)
-        rec = {"trial": t, "dims": list(trial_dims), "invertible": ops.invertible}
+    for t, trial_dims, state, ops in _trials(
+        trials, seed, dims, random_possibly_singular_set
+    ):
+        invertible = ops.invertible
+        rec = {"trial": t, "dims": list(trial_dims), "invertible": invertible}
+        records.append(rec)
         try:
             ok, pairs = check_monotone_nonincrease(state, ops)
         except ZeroResultError:
             rec["result"] = "skip"
-            records.append(rec)
             continue
-        if ops.invertible:
+        if invertible:
             ok = ok and all(b == a for b, a in pairs.values())
         rec["result"] = "pass" if ok else "fail"
-        rec["ranks"] = {
-            f"l={l} sigma={lab}": [b, a] for (l, lab), (b, a) in pairs.items()
-        }
-        records.append(rec)
+        rec["ranks"] = _rank_record(pairs)
     return records

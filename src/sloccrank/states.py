@@ -320,9 +320,7 @@ def state_from_json(obj) -> QuditState:
         except ValueError as exc:
             raise StateFormatError(f"amplitude #{pos}: {exc}") from exc
         amps[i] = ComplexRational(re, im)
-    amps = {i: a for i, a in amps.items() if not a.is_zero()}
-    if not amps:
-        raise ZeroStateError("state file contains no nonzero amplitude")
+    # QuditState drops zero amplitudes and rejects the zero state
     return QuditState(dims, amps)
 
 

@@ -1,11 +1,14 @@
 """Rank signatures, family labels, the reference table, Dicke scans."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 import sloccrank.classifier
+import sloccrank.linalg
+import sloccrank.matricizer
 from sloccrank.classifier import (
     RankSignature,
     ScanRow,
@@ -17,7 +20,7 @@ from sloccrank.classifier import (
     signature,
     table1_suite,
 )
-from sloccrank.linalg import rank_exact, rank_numeric
+from sloccrank.linalg import distinct_support, rank_exact, rank_numeric
 from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational
 from sloccrank.slocc import apply_local, random_ilo_set
@@ -63,6 +66,19 @@ def test_signature_invariant_under_invertible_ops():
         ops = random_ilo_set(s.dims, rng)
         t = apply_local(s, ops)
         assert signature(t, 2).ranks == signature(s, 2).ranks
+
+
+def test_signature_drops_zero_and_repeated_lines_once_per_sigma(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return distinct_support(*args)
+
+    monkeypatch.setattr(sloccrank.linalg, "distinct_support", counting)
+    monkeypatch.setattr(sloccrank.matricizer, "distinct_support", counting)
+    sig = signature(gen_w(5), 2)
+    assert len(calls) == len(sig.sigma_set)
 
 
 # -- classify ---------------------------------------------------------------
@@ -231,6 +247,14 @@ def test_scan_csv_layout():
     cells = next(csv_mod.reader([lines[3]]))
     assert len(cells) == 8
     assert cells[-1].startswith("F{")
+
+
+def test_scan_csv_is_pinned():
+    # sha256 of `scan --levels 3 --n 6`; pins the occupation order too
+    csv = scan_to_csv(3, *dicke_scan(3, 6))
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "d57bbb4ae6e0e333dfaf41045f5453990a0645b15069e38128896395c2ee9d56"
+    )
 
 
 def test_scan_csv_levels4_has_l3_column():

@@ -128,6 +128,33 @@ def test_pivots_locate_nonzero_entries():
         assert not m[r, c].is_zero()
 
 
+@st.composite
+def matrices_with_zero_and_repeated_lines(draw):
+    m = draw(small_matrices())
+    grid = [list(row) for row in m.data]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(grid)))
+        line = draw(st.sampled_from(["zero", "repeat"]))
+        row = [ZERO] * m.cols if line == "zero" else list(draw(st.sampled_from(grid)))
+        grid.insert(pos, row)
+    if draw(st.booleans()):  # repeat a column too
+        c = draw(st.integers(0, m.cols - 1))
+        grid = [row + [row[c]] for row in grid]
+    return ExactMatrix(grid)
+
+
+@given(matrices_with_zero_and_repeated_lines())
+@settings(max_examples=150, deadline=None)
+def test_pivots_select_a_nonzero_minor_of_rank_size(m):
+    res = rank_exact(m)
+    rows = sorted({r for r, _ in res.pivots})
+    cols = sorted({c for _, c in res.pivots})
+    assert len(rows) == len(cols) == res.rank == rank_mod_prime(m)
+    if res.rank:
+        minor = ExactMatrix([[m[r, c] for c in cols] for r in rows])
+        assert not det_exact(minor).is_zero()
+
+
 def test_rank_exact_deterministic():
     rng = random.Random(5)
     m = random_int_matrix(rng, 7, 7)

@@ -1,5 +1,7 @@
 """Local operator application, matricization identity, rank monotonicity."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -316,3 +318,33 @@ def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
         n = len(r["dims"])
         expected_ranks += 2 * sum(len(permutation_set(n, l)) for l in range(1, n))
     assert calls["rank_exact"] == expected_ranks
+
+
+def test_monotone_harness_checks_invertibility_once_per_trial(monkeypatch):
+    calls = []
+    invertible = LocalOperatorSet.invertible.fget
+
+    def counting(ops):
+        calls.append(ops)
+        return invertible(ops)
+
+    monkeypatch.setattr(LocalOperatorSet, "invertible", property(counting))
+    records = run_monotone_trials(6, seed=20260824)
+    assert len(calls) == len(records)
+
+
+def _records_sha256(records):
+    text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_harness_records_are_pinned():
+    # sha256 of the JSON lines `verify` writes; guards the order of the rng
+    # draws (dims, then state, then operators), which rerunning the same
+    # code (C10) cannot
+    assert _records_sha256(run_theorem1_trials(5, seed=20260823)) == (
+        "d2c5e7fa68153b063d6fd8f71fe7e925f8d0401fa72a55793f5d3c719e77b0d3"
+    )
+    assert _records_sha256(run_monotone_trials(20, seed=20260824)) == (
+        "146b0854d55609a41a6b914ff8d40f1aaa609a48b3f4e8475a84b1abfe554dc2"
+    )
