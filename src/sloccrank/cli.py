@@ -45,10 +45,7 @@ from .states import (
 
 
 def _parse_dims(text: str):
-    try:
-        return check_dims(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise SystemExit(f"error: bad --dims {text!r}: {exc}")
+    return check_dims(int(x) for x in text.split(","))
 
 
 def _write(text: str, path) -> None:
@@ -84,7 +81,7 @@ def _cmd_rank(args) -> int:
     sigma = QuditPermutation.parse(args.sigma)
     cm = coefficient_matrix(state, l, sigma)
     if args.numeric:
-        result = rank_numeric(cm.to_matrix(), safety=args.safety)
+        result = rank_numeric(cm.to_matrix())
     else:
         result = rank_exact(cm.support())
     print(f"rank={result.rank} method={result.method} l={l} sigma={sigma.label()}")
@@ -148,6 +145,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     dims = _parse_dims(args.dims) if args.dims else None
     runner = run_theorem1_trials if args.which == "theorem1" else run_monotone_trials
     records = runner(args.trials, seed=args.seed, dims=dims)
@@ -192,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", default="auto")
     p.add_argument("--sigma", default="I")
     p.add_argument("--numeric", action="store_true", help="SVD cross-check path")
-    p.add_argument("--safety", type=float, default=100.0,
-                   help="numeric threshold safety factor")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("signature", help="full rank signature and family label")

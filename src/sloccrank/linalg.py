@@ -47,10 +47,6 @@ class ExactMatrix:
             [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         )
 
-    def __getitem__(self, rc) -> ComplexRational:
-        r, c = rc
-        return self.data[r][c]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -92,9 +88,6 @@ class ExactMatrix:
                     if not b.is_zero():
                         out_i[j] = out_i[j] + a * b
         return ExactMatrix(out)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         out = []
@@ -236,8 +229,11 @@ def rank_exact(m: ExactMatrix) -> RankResult:
     return RankResult(rank, "exact", tuple(pivots))
 
 
-def rank_numeric(m: ExactMatrix, safety: float = 100.0) -> RankResult:
-    """Floating rank: singular values above smax * max(shape) * eps * safety."""
+SVD_SAFETY = 100.0  # threshold factor of the numeric cross-check
+
+
+def rank_numeric(m: ExactMatrix) -> RankResult:
+    """Floating rank: singular values above smax * max(shape) * eps * SVD_SAFETY."""
     try:
         arr = m.to_numpy()
     except OverflowError as exc:
@@ -245,7 +241,7 @@ def rank_numeric(m: ExactMatrix, safety: float = 100.0) -> RankResult:
     s = np.linalg.svd(arr, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return RankResult(0, "numeric", ())
-    thresh = s[0] * max(m.rows, m.cols) * np.finfo(float).eps * safety
+    thresh = s[0] * max(m.rows, m.cols) * np.finfo(float).eps * SVD_SAFETY
     return RankResult(int(np.sum(s > thresh)), "numeric", ())
 
 

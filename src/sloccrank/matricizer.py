@@ -129,8 +129,6 @@ def permutation_set(n: int, l: int) -> PermutationSet:
 class CoefficientMatrix:
     """Matricization of a state for a given split and permutation (sparse)."""
 
-    split: int
-    sigma: QuditPermutation
     row_dims: Tuple[int, ...]
     col_dims: Tuple[int, ...]
     entries: Tuple[Tuple[int, int, ComplexRational], ...]  # (row, col, value)
@@ -159,7 +157,7 @@ class CoefficientMatrix:
 
 
 def _matricize_by_order(
-    state: QuditState, order: Sequence[int], l: int, sigma: QuditPermutation
+    state: QuditState, order: Sequence[int], l: int
 ) -> CoefficientMatrix:
     """Rows: the first l sites of order; columns: the rest."""
     perm_dims = tuple(state.dims[q - 1] for q in order)
@@ -170,7 +168,7 @@ def _matricize_by_order(
         key=itemgetter(0),
     )
     entries = tuple((*divmod(j, cols), a) for j, a in moved)
-    return CoefficientMatrix(l, sigma, perm_dims[:l], perm_dims[l:], entries)
+    return CoefficientMatrix(perm_dims[:l], perm_dims[l:], entries)
 
 
 def coefficient_matrix(
@@ -185,7 +183,7 @@ def coefficient_matrix(
                 f"transposition ({r},{c}) invalid for n={n}, l={l}: "
                 "rows must come from the row block, columns from the column block"
             )
-    return _matricize_by_order(state, sigma.site_order(n), l, sigma)
+    return _matricize_by_order(state, sigma.site_order(n), l)
 
 
 def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix:
@@ -199,10 +197,7 @@ def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix
     if len(set(sites)) != len(sites) or any(not 1 <= q <= n for q in sites):
         raise ValueError(f"invalid site subset {sites} for n={n}")
     rest = [q for q in range(1, n + 1) if q not in sites]
-    # the order is no transposition product; sigma only labels the matrix
-    m = _matricize_by_order(
-        state, sites + rest, len(sites), QuditPermutation(())
-    ).to_matrix()
+    m = _matricize_by_order(state, sites + rest, len(sites)).to_matrix()
     return m.matmul(m.dagger())
 
 

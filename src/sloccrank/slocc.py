@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classifier import signature
-from .linalg import ExactMatrix, det_exact, kron_all
+from .linalg import ExactMatrix, det_exact
 from .matricizer import coefficient_matrix, optimal_split, permutation_set
 from .scalars import ComplexRational, ZERO
-from .states import QuditState, ZeroStateError, total_dim
+from .states import QuditState, ZeroStateError, multiindex_of, total_dim
 
 
 class ZeroResultError(ZeroStateError):
@@ -117,30 +117,48 @@ def verify_theorem1(
     """Exact check of the matricization identity for local transformations.
 
     With psi = (F_1 x ... x F_n) phi, the coefficient matrix of psi under
-    (l, sigma) must equal (x_{row block} F) M^sigma(phi) (x_{col block} F)^T,
-    each factor travelling with its qudit under sigma. Checked at every split
-    l = 1..n-1 and every sigma of its canonical set, all against one psi.
-    Holds for arbitrary, including singular, factors; if the transformed
-    state is the zero vector every right-hand side must be the zero matrix.
-    psi is computed here unless the caller already has it.
+    (l, sigma) must equal A M^sigma(phi) B^T, A and B the Kronecker products
+    of the row- and column-block factors, each factor travelling with its
+    qudit under sigma. Checked at every split l = 1..n-1 and every sigma of
+    its canonical set, all against one psi (computed here unless given).
+    The right-hand side is summed over the nonzero entries (r, c, v) of
+    M^sigma(phi): each adds v A[:, r] B[:, c]^T, which is column r*cols + c
+    of the Kronecker product of all n factors in sigma's site order, folded
+    to rows x cols and built site by site from the nonzero entries of each
+    factor's column at the entry's digit. Holds for arbitrary, including
+    singular, factors; if psi is the zero vector no entry may survive.
     """
     n = state.n
+    ops.check_dims(state.dims)
     if psi is None:
         try:
             psi = apply_local(state, ops)
         except ZeroResultError:
             pass
+    # nonzero (t, F[t][s]) of each column s of each site's operator F
+    columns = {
+        op.site: [
+            [(t, f) for t, f in enumerate(col) if not f.is_zero()]
+            for col in zip(*op.matrix.data)
+        ]
+        for op in ops
+    }
     for l in range(1, n):
         for sigma in permutation_set(n, l):
-            order = sigma.site_order(n)
-            row_factors = kron_all([ops[q].matrix for q in order[:l]])
-            col_factors = kron_all([ops[q].matrix for q in order[l:]])
-            m_phi = coefficient_matrix(state, l, sigma).to_matrix()
-            rhs = row_factors.matmul(m_phi).matmul(col_factors.transpose())
-            if psi is None:
-                if any(not x.is_zero() for row in rhs.data for x in row):
-                    return False
-            elif coefficient_matrix(psi, l, sigma).to_matrix() != rhs:
+            m_phi = coefficient_matrix(state, l, sigma)
+            cols, dims = m_phi.cols, m_phi.row_dims + m_phi.col_dims
+            site_columns = [columns[q] for q in sigma.site_order(n)]
+            rhs: Dict[int, ComplexRational] = {}
+            for r, c, v in m_phi.entries:
+                terms = [(0, v)]
+                for col, s in zip(site_columns, multiindex_of(r * cols + c, dims)):
+                    d = len(col)
+                    terms = [(j * d + t, w * f) for j, w in terms for t, f in col[s]]
+                for j, w in terms:
+                    rhs[j] = rhs[j] + w if j in rhs else w
+            got = {divmod(j, cols): w for j, w in rhs.items() if not w.is_zero()}
+            want = () if psi is None else coefficient_matrix(psi, l, sigma).entries
+            if got != {(r, c): v for r, c, v in want}:
                 return False
     return True
 
@@ -191,14 +209,10 @@ def _random_matrix(d: int, rng: random.Random) -> ExactMatrix:
     return ExactMatrix([[_gaussian(rng) for _ in range(d)] for _ in range(d)])
 
 
-def random_ilo(
-    d: int, seed: Optional[int] = None, rng: Optional[random.Random] = None
-) -> ExactMatrix:
+def random_ilo(d: int, rng: random.Random) -> ExactMatrix:
     """Random Gaussian-integer matrix resampled until exactly invertible."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if rng is None:
-        rng = random.Random(seed)
     for _ in range(1000):
         m = _random_matrix(d, rng)
         if not det_exact(m).is_zero():
@@ -207,10 +221,7 @@ def random_ilo(
 
 
 def random_local_possibly_singular(
-    d: int,
-    seed: Optional[int] = None,
-    force_singular: bool = False,
-    rng: Optional[random.Random] = None,
+    d: int, rng: random.Random, force_singular: bool = False
 ) -> ExactMatrix:
     """Unconstrained random matrix, or one with determinant exactly zero.
 
@@ -219,8 +230,6 @@ def random_local_possibly_singular(
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if rng is None:
-        rng = random.Random(seed)
     if not force_singular:
         return _random_matrix(d, rng)
     terms = rng.randint(1, d - 1)

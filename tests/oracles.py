@@ -2,15 +2,16 @@
 
 Each oracle recomputes a quantity by a route disjoint from the library's
 implementation: explicit enumeration, brute-force contraction, modular-prime
-elimination, rational Gauss(-Jordan) elimination. They are deliberately slow
-and simple.
+elimination, rational Gauss(-Jordan) elimination, dense Kronecker products.
+They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from sloccrank.linalg import ExactMatrix
+from sloccrank.linalg import ExactMatrix, kron_all
+from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import LocalOperator, LocalOperatorSet
 from sloccrank.states import QuditState, flat_index, multiindex_of
@@ -185,6 +186,31 @@ def apply_dense(state: QuditState, matrices) -> dict:
         if not acc.is_zero():
             out[t] = acc
     return out
+
+
+def identity_dense(state: QuditState, ops: LocalOperatorSet, psi) -> bool:
+    """The matricization identity by dense Kronecker products and matmuls.
+
+    At every split l and every sigma of its canonical set, M^sigma(psi) must
+    equal (x row-block F) M^sigma(phi) (x column-block F)^T as full grids.
+    psi is the transformed state, or None when the operators annihilate the
+    state; every right-hand side must then be the zero matrix.
+    """
+    n = state.n
+    for l in range(1, n):
+        for sigma in permutation_set(n, l):
+            order = sigma.site_order(n)
+            row_factors = kron_all([ops[q].matrix for q in order[:l]])
+            col_factors = kron_all([ops[q].matrix for q in order[l:]])
+            m_phi = coefficient_matrix(state, l, sigma).to_matrix()
+            rhs = row_factors.matmul(m_phi).matmul(col_factors.transpose())
+            if psi is None:
+                lhs = ExactMatrix([[ZERO] * rhs.cols for _ in range(rhs.rows)])
+            else:
+                lhs = coefficient_matrix(psi, l, sigma).to_matrix()
+            if lhs != rhs:
+                return False
+    return True
 
 
 def reorder_by_digits(indices, dims, order) -> list:

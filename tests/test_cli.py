@@ -74,8 +74,25 @@ def test_capacity_verb(capsys):
 
 
 def test_capacity_rejects_bad_dims(capsys):
-    with pytest.raises(SystemExit):
-        main(["capacity", "--dims", "2,1,2"])
+    code, _, err = run(capsys, "capacity", "--dims", "2,1,2")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_verify_rejects_non_integer_dims(capsys):
+    code, _, err = run(capsys, "verify", "theorem1", "--dims", "2,x",
+                       "--seed", "1")
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(capsys, trials):
+    code, out, err = run(capsys, "verify", "theorem1", "--trials", trials,
+                         "--seed", "1")
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
 
 
 def test_table1_verb(capsys):

@@ -104,10 +104,10 @@ def test_ghz_l1_matrix_structure():
     assert (m.rows, m.cols) == (2, 4)
     one = ComplexRational(1)
     nonzero = {
-        (r, c) for r in range(2) for c in range(4) if not m[r, c].is_zero()
+        (r, c) for r in range(2) for c in range(4) if not m.data[r][c].is_zero()
     }
     assert nonzero == {(0, 0), (1, 3)}
-    assert m[0, 0] == one and m[1, 3] == one
+    assert m.data[0][0] == one and m.data[1][3] == one
 
 
 def test_basis_ket_matrix_is_single_one():
@@ -116,7 +116,7 @@ def test_basis_ket_matrix_is_single_one():
     m = coefficient_matrix(s, 2).to_matrix()
     assert (m.rows, m.cols) == (4, 8)
     # rows = (s1,s2) lex, cols = (s3,s4) lex
-    assert m[2, 2] == ComplexRational(1)
+    assert m.data[2][2] == ComplexRational(1)
     assert sum(1 for row in m.data for x in row if not x.is_zero()) == 1
 
 
@@ -128,7 +128,7 @@ def test_sigma_routes_sites_to_blocks():
     assert m.row_dims == (4, 2)
     assert m.col_dims == (2, 2)
     grid = m.to_matrix()
-    assert grid[flat_index((2, 0), (4, 2)), flat_index((0, 1), (2, 2))] == (
+    assert grid.data[flat_index((2, 0), (4, 2))][flat_index((0, 1), (2, 2))] == (
         ComplexRational(1)
     )
 

@@ -54,9 +54,9 @@ def test_matmul_and_identity():
     a = ExactMatrix.from_ints([[1, 2], [3, 4]])
     i2 = ExactMatrix.identity(2)
     assert a.matmul(i2) == a
-    assert i2 @ a == a
+    assert i2.matmul(a) == a
     b = ExactMatrix.from_ints([[0, 1], [1, 0]])
-    assert (a @ b) == ExactMatrix.from_ints([[2, 1], [4, 3]])
+    assert a.matmul(b) == ExactMatrix.from_ints([[2, 1], [4, 3]])
     with pytest.raises(ValueError):
         a.matmul(ExactMatrix.from_ints([[1, 2, 3]]))
 
@@ -66,15 +66,15 @@ def test_kron_matches_block_structure():
     b = ExactMatrix.from_ints([[0, 5], [6, 7]])
     k = a.kron(b)
     assert (k.rows, k.cols) == (4, 4)
-    assert k[0, 1] == ComplexRational(5)
-    assert k[2, 0] == ComplexRational(0)  # 3 * 0
-    assert k[3, 0] == ComplexRational(18)  # 3 * 6
+    assert k.data[0][1] == ComplexRational(5)
+    assert k.data[2][0] == ComplexRational(0)  # 3 * 0
+    assert k.data[3][0] == ComplexRational(18)  # 3 * 6
     assert kron_all([a, b]) == k
 
 
 def test_dagger_conjugates():
     m = ExactMatrix([[ComplexRational(1, 2)]])
-    assert m.dagger()[0, 0] == ComplexRational(1, -2)
+    assert m.dagger().data[0][0] == ComplexRational(1, -2)
 
 
 # -- exact rank: pinned cases ----------------------------------------------
@@ -125,7 +125,7 @@ def test_pivots_locate_nonzero_entries():
     res = rank_exact(m)
     assert res.rank == 2
     for r, c in res.pivots:
-        assert not m[r, c].is_zero()
+        assert not m.data[r][c].is_zero()
 
 
 @st.composite
@@ -151,7 +151,7 @@ def test_pivots_select_a_nonzero_minor_of_rank_size(m):
     cols = sorted({c for _, c in res.pivots})
     assert len(rows) == len(cols) == res.rank == rank_mod_prime(m)
     if res.rank:
-        minor = ExactMatrix([[m[r, c] for c in cols] for r in rows])
+        minor = ExactMatrix([[m.data[r][c] for c in cols] for r in rows])
         assert not det_exact(minor).is_zero()
 
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import sloccrank.classifier
 import sloccrank.slocc
 from sloccrank.linalg import ExactMatrix, det_exact, rank_exact
-from sloccrank.matricizer import QuditPermutation, permutation_set
-from sloccrank.scalars import ComplexRational
+from sloccrank.matricizer import CoefficientMatrix, QuditPermutation, permutation_set
+from sloccrank.scalars import ComplexRational, ZERO
 from sloccrank.slocc import (
     LocalOperator,
     LocalOperatorSet,
@@ -29,9 +29,16 @@ from sloccrank.slocc import (
     run_theorem1_trials,
     verify_theorem1,
 )
-from sloccrank.states import QuditState, flat_index, gen_ghz, gen_w, total_dim
+from sloccrank.states import (
+    QuditState,
+    flat_index,
+    gen_ghz,
+    gen_w,
+    multiindex_of,
+    total_dim,
+)
 
-from oracles import apply_dense, invert_ops
+from oracles import apply_dense, identity_dense, invert_ops
 
 
 def dicts_equal(state, amp_map):
@@ -173,6 +180,24 @@ def test_identity_holds_when_ops_annihilate_the_state():
     assert verify_theorem1(s, ops)
 
 
+def test_identity_drops_entries_that_cancel():
+    # F = |0><0| + |0><1| on site 1 sends |1x> onto |0x>: |00> - |10> cancels
+    # to zero, and |00> - |10> + |01> leaves only |01>
+    f = ExactMatrix.from_ints([[1, 1], [0, 0]])
+    i2 = ExactMatrix.identity(2)
+    ops = LocalOperatorSet([LocalOperator(1, f), LocalOperator(2, i2)])
+    one, minus = ComplexRational(1), ComplexRational(-1)
+    dims = (2, 2)
+    killed = QuditState(dims, {0: one, 2: minus})
+    with pytest.raises(ZeroResultError):
+        apply_local(killed, ops)
+    assert verify_theorem1(killed, ops) and identity_dense(killed, ops, None)
+    partial = QuditState(dims, {0: one, 1: one, 2: minus})
+    psi = apply_local(partial, ops)
+    assert psi.amplitudes == {1: one}
+    assert verify_theorem1(partial, ops, psi) and identity_dense(partial, ops, psi)
+
+
 def test_identity_detects_a_wrong_psi(monkeypatch):
     # psi taken from W instead of GHZ must break the identity
     s = gen_ghz(3, 2)
@@ -181,6 +206,69 @@ def test_identity_detects_a_wrong_psi(monkeypatch):
         sloccrank.slocc, "apply_local", lambda state, o: apply_local(gen_w(3), o)
     )
     assert not verify_theorem1(s, ops)
+
+
+def _annihilating_ops(state, rng):
+    """Random operators whose site-1 factor kills every site-1 digit in use."""
+    used = {multiindex_of(i, state.dims)[0] for i in state.amplitudes}
+    d = state.dims[0]
+    first = ExactMatrix(
+        [
+            [ZERO if s in used else ComplexRational(rng.randint(-3, 3))
+             for s in range(d)]
+            for _ in range(d)
+        ]
+    )
+    rest = random_possibly_singular_set(state.dims, rng)
+    return LocalOperatorSet([LocalOperator(1, first)] + list(rest)[1:])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_identity_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    dims = random_dims(rng, max_sites=4, max_dim=3, max_total=36)
+    s = random_sparse_state(dims, rng)
+    ops = random_possibly_singular_set(dims, rng)
+    try:
+        psi = apply_local(s, ops)
+    except ZeroResultError:
+        psi = None
+    cases = [psi, random_sparse_state(dims, rng)]  # true psi, unrelated state
+    if psi is not None:
+        # one amplitude doubled: a corrupted psi
+        amps = dict(psi.amplitudes)
+        i = rng.choice(sorted(amps))
+        amps[i] = amps[i] + amps[i]
+        cases.append(QuditState(dims, amps))
+    for candidate in cases:
+        assert verify_theorem1(s, ops, candidate) == identity_dense(s, ops, candidate)
+    assert verify_theorem1(s, ops, psi) and identity_dense(s, ops, psi)
+    if psi is not None:
+        assert not verify_theorem1(s, ops, cases[2])
+    # operators that annihilate the state: psi is the zero vector
+    killer = _annihilating_ops(s, rng)
+    with pytest.raises(ZeroResultError):
+        apply_local(s, killer)
+    assert verify_theorem1(s, killer) and identity_dense(s, killer, None)
+    assert verify_theorem1(s, killer, cases[1]) == identity_dense(s, killer, cases[1])
+    assert not verify_theorem1(s, killer, cases[1])
+
+
+def test_identity_check_builds_no_dense_grid(monkeypatch):
+    rng = random.Random(5)
+    dims = (2, 3, 2, 2)
+    s = random_sparse_state(dims, rng)
+    ops = random_ilo_set(dims, rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense route used")
+
+    monkeypatch.setattr(CoefficientMatrix, "to_matrix", forbidden)
+    for name in ("kron", "matmul", "transpose"):
+        monkeypatch.setattr(ExactMatrix, name, forbidden)
+    monkeypatch.setattr(sloccrank.linalg, "kron_all", forbidden)
+    assert verify_theorem1(s, ops)
 
 
 def test_identity_detects_wrong_routing():
@@ -262,7 +350,7 @@ def test_random_singular_has_deficient_rank():
 
 
 def test_random_ilo_seed_reproducible():
-    assert random_ilo(3, seed=42) == random_ilo(3, seed=42)
+    assert random_ilo(3, random.Random(42)) == random_ilo(3, random.Random(42))
     assert random_sparse_state((2, 3), random.Random(7)) == random_sparse_state(
         (2, 3), random.Random(7)
     )
