@@ -20,15 +20,10 @@ from .matricizer import (
     coefficient_matrix,
     optimal_split,
     permutation_set,
+    symmetric_matrix,
 )
-from .scalars import ComplexRational
-from .states import (
-    QuditState,
-    flat_index,
-    gen_dicke3,
-    gen_dicke4,
-    reorder_indices,
-)
+from .scalars import ONE
+from .states import QuditState, flat_index
 
 
 @dataclass(frozen=True)
@@ -127,10 +122,9 @@ _TABLE1: Tuple[Tuple[str, Tuple[int, int, int], Tuple[Tuple[int, ...], ...]], ..
 def table1_suite() -> List[Tuple[str, QuditState, str]]:
     """The 24 reference representatives with their expected family labels."""
     pset = permutation_set(4, 2)
-    one = ComplexRational(1)
     out = []
     for name, triple, kets in _TABLE1:
-        amps = {flat_index(ket, _DIMS_2224): one for ket in kets}
+        amps = {flat_index(ket, _DIMS_2224): ONE for ket in kets}
         state = QuditState(_DIMS_2224, amps)
         expected = family_label(RankSignature(2, pset, triple))
         out.append((name, state, expected))
@@ -149,7 +143,7 @@ class ScanRow:
     label: str
 
 
-_SCAN_LIMITS = {3: 11, 4: 9}
+_SCAN_LIMITS = {3: 14, 4: 12}
 
 
 def _occupation_variance(counts: Sequence[int]) -> Fraction:
@@ -161,11 +155,11 @@ def _occupation_variance(counts: Sequence[int]) -> Fraction:
 def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
     """Rank signatures of all Dicke occupation tuples at split l = n // 2.
 
-    The generated states are invariant under every permutation of sites
-    (amplitudes depend only on the digit multiset), so every sigma in the set
-    yields the same matrix up to row/column relabeling; the rank is computed
-    once per tuple and replicated. The invariance is asserted per state under
-    both generators of S_n, the swap (1, 2) and the n-cycle.
+    A Dicke state is invariant under every permutation of sites, so every
+    sigma in the set yields the same matrix up to row/column relabeling; the
+    rank is computed once per tuple and replicated. It is the rank of the
+    merged occupation-class matrix (symmetric_matrix), so no state and none
+    of its levels**n terms are built.
     """
     if levels not in _SCAN_LIMITS:
         raise ValueError("levels must be 3 or 4")
@@ -177,28 +171,15 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
         )
     l = n // 2
     pset = permutation_set(n, l)
-    swap = (2, 1) + tuple(range(3, n + 1))
-    cycle = tuple(range(2, n + 1)) + (1,)
+    by_rank: Dict[int, Tuple[Tuple[int, ...], str]] = {}  # rank -> (ranks, label)
     rows: List[ScanRow] = []
     for occ in _occupation_tuples(levels, n):
-        state = (
-            gen_dicke3(n, occ[0], occ[1])
-            if levels == 3
-            else gen_dicke4(n, occ[0], occ[1], occ[2])
-        )
-        # compare index maps; a permuted QuditState would re-validate each term
-        amps = state.amplitudes
-        for g in (swap, cycle):
-            moved = reorder_indices(amps, state.dims, g)
-            if dict(zip(moved, amps.values())) != amps:
-                raise AssertionError("Dicke generator lost permutation symmetry")
-        r0 = rank_exact(coefficient_matrix(state, l).support()).rank
-        ranks = (r0,) * len(pset)
-        l0 = n - sum(occ)
-        counts = (l0,) + occ
-        sig = RankSignature(l, pset, ranks)
-        rows.append(ScanRow(counts, _occupation_variance(counts), ranks,
-                            family_label(sig)))
+        counts = (n - sum(occ),) + occ
+        r = rank_exact(symmetric_matrix(n, l, {counts: ONE})).rank
+        if r not in by_rank:
+            ranks = (r,) * len(pset)
+            by_rank[r] = ranks, family_label(RankSignature(l, pset, ranks))
+        rows.append(ScanRow(counts, _occupation_variance(counts), *by_rank[r]))
     return pset, rows
 
 

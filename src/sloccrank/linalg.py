@@ -165,11 +165,14 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
         pivots.append((row_ids[piv], col))
         pn = prev_a * prev_a + prev_b * prev_b
         prow = rows[piv]
+        same = (pa, pb) == (prev_a, prev_b)
         for r in range(piv + 1, nrows):
             row = rows[r]
             fa, fb = row[col]
-            # the f == 0 case still needs the pivot/prev rescale: one-step
-            # Bareiss exact divisibility relies on every row being updated
+            # f == 0 still needs the pivot/prev rescale that one-step Bareiss
+            # divisibility relies on, unless pivot == prev: (p*x - 0)/p = x
+            if same and not (fa or fb):
+                continue
             new = []
             for c in range(ncols):
                 xa, xb = row[c]

@@ -14,9 +14,9 @@ and column pools would allow it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import itemgetter
-from typing import List, Sequence, Tuple
+from itertools import combinations, product
+from operator import itemgetter, sub
+from typing import List, Mapping, Sequence, Tuple
 
 from .linalg import ExactMatrix, distinct_support
 from .scalars import ComplexRational, ZERO
@@ -184,6 +184,37 @@ def coefficient_matrix(
                 "rows must come from the row block, columns from the column block"
             )
     return _matricize_by_order(state, sigma.site_order(n), l)
+
+
+def _sub_occupations(bounds: Sequence[int], size: int) -> List[Tuple[int, ...]]:
+    """Occupation tuples a <= bounds (entrywise) with sum(a) == size, in lex order."""
+    ranges = (range(min(b, size) + 1) for b in bounds)
+    return [a for a in product(*ranges) if sum(a) == size]
+
+
+def symmetric_matrix(
+    n: int, l: int, coeffs: Mapping[Tuple[int, ...], ComplexRational]
+) -> ExactMatrix:
+    """Merged l | n-l matricization of the symmetric state sum_c coeffs[c] |D_c>.
+
+    |D_c> sums every digit string with level counts c. A row of the full
+    matricization depends only on its digits' counts a, a column only on b,
+    so the full matrix has the rank of M[a, b] = coeffs[a + b]: rows are the
+    size-l tuples a <= some c, columns the size-(n-l) b <= some c, lex order.
+    """
+    l = _check_split(n, l)
+    if any(sum(c) != n for c in coeffs):
+        raise ValueError(f"every occupation tuple must sum to n={n}")
+    rows = sorted({a for c in coeffs for a in _sub_occupations(c, l)})
+    cols = sorted({b for c in coeffs for b in _sub_occupations(c, n - l)})
+    col_of = {b: j for j, b in enumerate(cols)}
+    grid = [[ZERO] * len(cols) for _ in rows]
+    for row, a in zip(grid, rows):
+        for c, alpha in coeffs.items():  # the one b with a + b = c, if any
+            j = col_of.get(tuple(map(sub, c, a)))
+            if j is not None:
+                row[j] = alpha
+    return ExactMatrix(grid)
 
 
 def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix:

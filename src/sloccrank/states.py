@@ -275,6 +275,15 @@ def _int_array(value) -> list:
     return value
 
 
+def _parse_part(value):
+    """An int for an integer literal, else parse_rational (they agree on ints)."""
+    text = str(value).strip()
+    try:
+        return int(text)
+    except ValueError:
+        return parse_rational(text)
+
+
 def state_from_json(obj) -> QuditState:
     """Strict parser for the state JSON schema.
 
@@ -315,8 +324,8 @@ def state_from_json(obj) -> QuditState:
                 f"amplitude #{pos}: duplicate index {list(entry['index'])}"
             )
         try:
-            re = parse_rational(str(entry.get("re", "0")))
-            im = parse_rational(str(entry.get("im", "0")))
+            re = _parse_part(entry.get("re", "0"))
+            im = _parse_part(entry.get("im", "0"))
         except ValueError as exc:
             raise StateFormatError(f"amplitude #{pos}: {exc}") from exc
         amps[i] = ComplexRational(re, im)

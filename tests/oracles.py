@@ -8,6 +8,7 @@ They are deliberately slow and simple.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from sloccrank.linalg import ExactMatrix, kron_all
@@ -260,10 +261,16 @@ def matched_occupation_classes(n: int, l: int, counts) -> int:
     """
     levels = len(counts) + 1
     total = [n - sum(counts)] + list(counts)
-    rows = set()
-    for tup in product(range(levels), repeat=l):
-        occ = tuple(tup.count(lv) for lv in range(levels))
-        if any(occ[lv] > total[lv] for lv in range(levels)):
-            continue
-        rows.add(occ)
-    return len(rows)
+    return sum(
+        all(occ[lv] <= total[lv] for lv in range(levels))
+        for occ in _row_occupations(levels, l)
+    )
+
+
+@lru_cache(maxsize=None)
+def _row_occupations(levels: int, l: int) -> frozenset:
+    """Distinct level counts of the digit strings of length l, enumerated."""
+    return frozenset(
+        tuple(tup.count(lv) for lv in range(levels))
+        for tup in product(range(levels), repeat=l)
+    )

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import sloccrank.classifier
 import sloccrank.linalg
 import sloccrank.matricizer
 from sloccrank.classifier import (
@@ -24,7 +23,7 @@ from sloccrank.linalg import distinct_support, rank_exact, rank_numeric
 from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational
 from sloccrank.slocc import apply_local, random_ilo_set
-from sloccrank.states import QuditState, flat_index, gen_dicke3, gen_ghz, gen_w
+from sloccrank.states import QuditState, gen_dicke3, gen_dicke4, gen_ghz, gen_w
 
 from oracles import matched_occupation_classes, rank_mod_prime
 
@@ -149,13 +148,13 @@ def suite_list():
 # -- Dicke scans ------------------------------------------------------------
 
 def test_dicke_scan_small_matches_generic_signature():
-    pset, rows = dicke_scan(3, 5)
-    assert pset.labels() == permutation_set(5, 2).labels()
-    for row in rows:
-        l1, l2 = row.occupations[1], row.occupations[2]
-        state = gen_dicke3(5, l1, l2)
-        sig = signature(state, 2)
-        assert row.ranks == sig.ranks, row.occupations
+    # the generated state through every sigma of the set, as `signature` ranks it
+    for levels, n, gen in ((3, 5, gen_dicke3), (4, 6, gen_dicke4)):
+        pset, rows = dicke_scan(levels, n)
+        assert pset.labels() == permutation_set(n, n // 2).labels()
+        for row in rows:
+            sig = signature(gen(n, *row.occupations[1:]), n // 2)
+            assert row.ranks == sig.ranks, row.occupations
 
 
 def test_dicke_scan_rank_matches_occupation_class_oracle():
@@ -201,6 +200,10 @@ def test_dicke_d39_balanced_rank_confirmed_by_dual_oracle():
     [
         (3, 11, {(4, 4, 3): 16, (9, 1, 1): 4, (10, 0, 1): 2, (1, 5, 5): 11}),
         (4, 9, {(3, 2, 2, 2): 22, (6, 1, 1, 1): 8, (8, 0, 0, 1): 2}),
+        # the largest accepted n; pinned values from matched_occupation_classes
+        (3, 14, {(5, 5, 4): 24, (12, 1, 1): 4, (13, 0, 1): 2, (1, 7, 6): 14}),
+        (4, 12, {(3, 3, 3, 3): 44, (9, 1, 1, 1): 8, (11, 0, 0, 1): 2,
+                 (1, 4, 4, 3): 32}),
     ],
 )
 def test_dicke_scan_largest_accepted_n(levels, n, pinned):
@@ -214,22 +217,15 @@ def test_dicke_scan_largest_accepted_n(levels, n, pinned):
         assert set(row.ranks) == {expected}, row.occupations
 
 
-def test_dicke_scan_checks_full_symmetry(monkeypatch):
-    # |010> is fixed by the swap (1, 3) but not by (1, 2) or the 3-cycle
-    dims = (3, 3, 3)
-    ket = QuditState(dims, {flat_index((0, 1, 0), dims): ComplexRational(1)})
-    monkeypatch.setattr(sloccrank.classifier, "gen_dicke3", lambda *args: ket)
-    with pytest.raises(AssertionError):
-        dicke_scan(3, 3)
-
-
 def test_dicke_scan_rejects_out_of_range():
     with pytest.raises(ValueError):
         dicke_scan(5, 4)
     with pytest.raises(ValueError):
-        dicke_scan(3, 12)
+        dicke_scan(3, 15)
     with pytest.raises(ValueError):
-        dicke_scan(4, 10)
+        dicke_scan(4, 13)
+    with pytest.raises(ValueError):
+        dicke_scan(3, 1)
 
 
 def test_scan_csv_layout():
@@ -255,6 +251,19 @@ def test_scan_csv_is_pinned():
     assert hashlib.sha256(csv.encode()).hexdigest() == (
         "d57bbb4ae6e0e333dfaf41045f5453990a0645b15069e38128896395c2ee9d56"
     )
+
+
+# sha256 of the CSVs that scripts/reproduce_dicke_figures.py writes
+_FIGURE_CSV_SHA256 = {
+    (3, 9): "3a0c66e9299cef830f26a53a5e78fc6296ca53b7d969e0e664a88ce8e915e819",
+    (4, 8): "1d1c4f4397f0c7850ca9746ede635d9b88664e4f1e7d6f82c4cc6f92ecd1c522",
+}
+
+
+@pytest.mark.parametrize("levels,n", sorted(_FIGURE_CSV_SHA256))
+def test_figure_scan_csvs_are_pinned(levels, n):
+    csv = scan_to_csv(levels, *dicke_scan(levels, n))
+    assert hashlib.sha256(csv.encode()).hexdigest() == _FIGURE_CSV_SHA256[levels, n]
 
 
 def test_scan_csv_levels4_has_l3_column():

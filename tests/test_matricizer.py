@@ -1,6 +1,7 @@
 """Matricization, permutation sets, reduced densities, split capacity."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,13 @@ from sloccrank.matricizer import (
     permutation_set,
     reduced_density,
     split_capacity,
+    symmetric_matrix,
 )
-from sloccrank.scalars import ComplexRational
+from sloccrank.scalars import ComplexRational, ONE
 from sloccrank.slocc import random_sparse_state
 from sloccrank.states import QuditState, flat_index, gen_ghz, total_dim
 
-from oracles import partial_trace, rank_mod_prime
+from oracles import partial_trace, rank_mod_prime, symmetric_terms
 
 dims_strategy = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -206,6 +208,50 @@ def test_support_drops_zero_and_repeated_lines():
     cm = coefficient_matrix(s, 1)
     assert cm.support() == ExactMatrix.from_ints([[1, 2], [1, 0]])
     assert rank_exact(cm.support()).rank == rank_exact(cm.to_matrix()).rank == 2
+
+
+# -- symmetric states --------------------------------------------------------
+
+def test_symmetric_matrix_of_one_dicke_class_is_a_permutation():
+    m = symmetric_matrix(4, 2, {(2, 1, 1): ONE})
+    # rows (0,1,1), (1,0,1), (1,1,0), (2,0,0); column b = (2,1,1) - a
+    assert m == ExactMatrix.from_ints(
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    )
+    with pytest.raises(ValueError):
+        symmetric_matrix(4, 2, {(2, 1, 0): ONE})
+    with pytest.raises(ValueError):
+        symmetric_matrix(4, 4, {(2, 1, 1): ONE})
+
+
+@st.composite
+def symmetric_superpositions(draw):
+    """(levels, n, {occupation tuple: nonzero Gaussian-integer amplitude})."""
+    levels = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 7))
+    classes = [c for c in product(range(n + 1), repeat=levels) if sum(c) == n]
+    chosen = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=4,
+                           unique=True))
+    parts = st.integers(-2, 2)
+    amps = st.tuples(parts, parts).filter(any).map(lambda z: ComplexRational(*z))
+    return levels, n, {c: draw(amps) for c in chosen}
+
+
+@given(symmetric_superpositions())
+@settings(max_examples=40, deadline=None)
+def test_symmetric_matrix_rank_matches_explicit_superposition(case):
+    levels, n, coeffs = case
+    dims = (levels,) * n
+    amps = {
+        pos: alpha
+        for c, alpha in coeffs.items()
+        for pos in symmetric_terms(levels, n, c[1:])
+    }
+    state = QuditState(dims, amps)
+    for l in range(1, n):
+        m = coefficient_matrix(state, l)
+        r = rank_exact(symmetric_matrix(n, l, coeffs)).rank
+        assert r == rank_exact(m.support()).rank == rank_mod_prime(m.to_matrix()), l
 
 
 # -- reduced density --------------------------------------------------------

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from sloccrank.scalars import ComplexRational
+from sloccrank.scalars import ComplexRational, parse_rational
 from sloccrank.states import (
     InvalidIndexError,
     QuditState,
@@ -234,6 +234,24 @@ def test_dicke_site_permutation_invariance():
     assert permute_qudits(s, (3, 1, 5, 2, 4)) == s
 
 
+def test_dicke_generators_are_fully_symmetric():
+    # the swap (1, 2) and the n-cycle generate S_n
+    for levels, gen in ((3, gen_dicke3), (4, gen_dicke4)):
+        for n in range(2, 7):
+            swap = (2, 1) + tuple(range(3, n + 1))
+            cycle = tuple(range(2, n + 1)) + (1,)
+            for counts in product(range(n), repeat=levels - 1):
+                if sum(counts) > n - 1:
+                    continue
+                s = gen(n, *counts)
+                for g in (swap, cycle):
+                    assert permute_by_digits(s, g) == s, (n, counts, g)
+    # the check can fail: |010> is fixed by the swap (1, 3) only
+    ket = QuditState((3, 3, 3), {flat_index((0, 1, 0), (3, 3, 3)): ComplexRational(1)})
+    assert permute_by_digits(ket, (2, 1, 3)) != ket
+    assert permute_by_digits(ket, (2, 3, 1)) != ket
+
+
 def test_dicke_occupation_bounds():
     with pytest.raises(ValueError):
         gen_dicke3(3, 2, 1)  # l1+l2 > n-1
@@ -317,6 +335,27 @@ def test_json_schema_rejections():
 
     with pytest.raises(StateFormatError):
         state_from_json([1, 2])
+
+
+@pytest.mark.parametrize(
+    "text", ["1_000", "+3", " 3 ", "-0", "0x1", "3.0", "1e3", "0b1", "00", "", "-"]
+)
+def test_integer_literal_parse_agrees_with_parse_rational(text):
+    # state_from_json tries int() before parse_rational; both must agree
+    def outcome(parse):
+        try:
+            return parse(text.strip())
+        except ValueError:
+            return "rejected"
+
+    value = outcome(parse_rational)
+    assert outcome(int) == value
+    doc = {"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": text, "im": "1"}]}
+    if value == "rejected":
+        with pytest.raises(StateFormatError, match="malformed rational"):
+            state_from_json(doc)
+    else:
+        assert state_from_json(doc).amplitude((0, 0)) == ComplexRational(value, 1)
 
 
 def test_load_rejects_invalid_json(tmp_path):
