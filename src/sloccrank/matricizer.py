@@ -14,6 +14,7 @@ and column pools would allow it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter, sub
 from typing import List, Mapping, Sequence, Tuple
@@ -88,6 +89,11 @@ class PermutationSet:
         return iter(self.sigmas)
 
     def labels(self) -> Tuple[str, ...]:
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> Tuple[str, ...]:
+        # built on first use, once per set; not a field, so == and hash ignore it
         return tuple(s.label() for s in self.sigmas)
 
 

@@ -2,13 +2,16 @@
 
 Everything here is exact: random local operators have Gaussian-integer
 entries, so the matricization identity for locally transformed states and
-the rank-nonincrease checks are decided with no tolerance at all.
+the rank-nonincrease checks are decided with no tolerance at all. apply_local
+and verify_theorem1 sum Gaussian-integer pairs under one common scale, so they
+take rational inputs too and do no ComplexRational arithmetic.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm, prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classifier import signature
@@ -75,9 +78,20 @@ class LocalOperatorSet:
         )
 
 
+def _integer_columns(matrix: ExactMatrix) -> Tuple[int, List[List[Tuple[int, ...]]]]:
+    """den, the lcm of F's entry denominators, and per column s the nonzero
+    entries (t, a, b) of den * F[:, s] as Gaussian integers a + bi."""
+    den = lcm(*(f.d for row in matrix.data for f in row))
+    return den, [
+        [(t, f.a * (den // f.d), f.b * (den // f.d)) for t, f in enumerate(col) if f]
+        for col in zip(*matrix.data)
+    ]
+
+
 def apply_local(state: QuditState, ops: LocalOperatorSet) -> QuditState:
     """Apply the tensor product of local operators to the state, exactly.
 
+    Sums run over phi and each F_q scaled to Gaussian integers (a, b).
     Raises ZeroResultError if the result is the zero vector (possible when
     some factor is singular).
     """
@@ -87,28 +101,29 @@ def apply_local(state: QuditState, ops: LocalOperatorSet) -> QuditState:
     strides = [1] * n
     for k in range(n - 2, -1, -1):
         strides[k] = strides[k + 1] * dims[k + 1]
-    amps: Dict[int, ComplexRational] = dict(state.amplitudes)
+    scale = lcm(*(v.d for v in state.amplitudes.values()))
+    amps = {i: (v.a * (scale // v.d), v.b * (scale // v.d))
+            for i, v in state.amplitudes.items()}
     for k in range(n):
-        mat = ops[k + 1].matrix.data
+        den, columns = _integer_columns(ops[k + 1].matrix)
+        scale *= den
         d = dims[k]
         stride = strides[k]
-        new: Dict[int, ComplexRational] = {}
-        for i, a in amps.items():
+        new: Dict[int, Tuple[int, int]] = {}
+        for i, (x, y) in amps.items():
             s = (i // stride) % d
             base = i - s * stride
-            for t in range(d):
-                f = mat[t][s]
-                if f.is_zero():
-                    continue
+            for t, a, b in columns[s]:
                 j = base + t * stride
-                cur = new.get(j)
-                new[j] = f * a if cur is None else cur + f * a
-        amps = {j: v for j, v in new.items() if not v.is_zero()}
+                u, w = new.get(j, (0, 0))
+                new[j] = (u + a * x - b * y, w + a * y + b * x)
+        amps = {j: v for j, v in new.items() if v != (0, 0)}
         if not amps:
             raise ZeroResultError(
                 "local operator set annihilated the state (singular factors)"
             )
-    return QuditState(dims, amps)
+    amplitudes = {j: ComplexRational(x, y, scale) for j, (x, y) in amps.items()}
+    return QuditState(dims, amplitudes)
 
 
 def verify_theorem1(
@@ -125,8 +140,12 @@ def verify_theorem1(
     M^sigma(phi): each adds v A[:, r] B[:, c]^T, which is column r*cols + c
     of the Kronecker product of all n factors in sigma's site order, folded
     to rows x cols and built site by site from the nonzero entries of each
-    factor's column at the entry's digit. Holds for arbitrary, including
-    singular, factors; if psi is the zero vector no entry may survive.
+    factor's column at the entry's digit. The sums are Gaussian-integer pairs
+    under one scale K = L * prod den_q, L and den_q the lcms of the
+    denominators of phi and F_q; psi is compared scaled to K, and an entry
+    whose lowest-terms denominator does not divide K equals no such sum.
+    Holds for arbitrary, including singular, factors; if psi is the zero
+    vector no entry may survive.
     """
     n = state.n
     ops.check_dims(state.dims)
@@ -135,30 +154,30 @@ def verify_theorem1(
             psi = apply_local(state, ops)
         except ZeroResultError:
             pass
-    # nonzero (t, F[t][s]) of each column s of each site's operator F
-    columns = {
-        op.site: [
-            [(t, f) for t, f in enumerate(col) if not f.is_zero()]
-            for col in zip(*op.matrix.data)
-        ]
-        for op in ops
-    }
+    phi_scale = lcm(*(v.d for v in state.amplitudes.values()))
+    dens, columns = zip(*(_integer_columns(op.matrix) for op in ops))  # by site
+    scale = phi_scale * prod(dens)
+    if psi is not None and any(scale % v.d for v in psi.amplitudes.values()):
+        return False
     for l in range(1, n):
         for sigma in permutation_set(n, l):
             m_phi = coefficient_matrix(state, l, sigma)
             cols, dims = m_phi.cols, m_phi.row_dims + m_phi.col_dims
-            site_columns = [columns[q] for q in sigma.site_order(n)]
-            rhs: Dict[int, ComplexRational] = {}
+            site_columns = [columns[q - 1] for q in sigma.site_order(n)]
+            rhs: Dict[int, Tuple[int, int]] = {}
             for r, c, v in m_phi.entries:
-                terms = [(0, v)]
+                terms = [(0, v.a * (phi_scale // v.d), v.b * (phi_scale // v.d))]
                 for col, s in zip(site_columns, multiindex_of(r * cols + c, dims)):
                     d = len(col)
-                    terms = [(j * d + t, w * f) for j, w in terms for t, f in col[s]]
-                for j, w in terms:
-                    rhs[j] = rhs[j] + w if j in rhs else w
-            got = {divmod(j, cols): w for j, w in rhs.items() if not w.is_zero()}
+                    terms = [(j * d + t, a * x - b * y, a * y + b * x)
+                             for j, x, y in terms for t, a, b in col[s]]
+                for j, x, y in terms:
+                    u, w = rhs.get(j, (0, 0))
+                    rhs[j] = (u + x, w + y)
+            got = {divmod(j, cols): v for j, v in rhs.items() if v != (0, 0)}
             want = () if psi is None else coefficient_matrix(psi, l, sigma).entries
-            if got != {(r, c): v for r, c, v in want}:
+            if got != {(r, c): (v.a * (scale // v.d), v.b * (scale // v.d))
+                        for r, c, v in want}:
                 return False
     return True
 

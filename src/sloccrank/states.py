@@ -12,6 +12,7 @@ Site labels are 1-based throughout; flat indices are 0-based.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -85,12 +86,15 @@ class QuditState:
         D = total_dim(dims)
         amps: Dict[int, ComplexRational] = {}
         for i, a in amplitudes.items():
-            if not 0 <= i < D:
-                raise InvalidIndexError(f"flat index {i} out of range [0, {D})")
-            if not isinstance(a, ComplexRational):
+            if type(i) is not int or not 0 <= i < D:  # no float or bool keys
+                raise InvalidIndexError(f"flat index {i!r} is not an int in [0, {D})")
+            if type(a) is not ComplexRational:
+                if type(a) not in (int, Fraction):
+                    raise TypeError(f"amplitude at index {i} is a {type(a).__name__}, "
+                                    "not a ComplexRational, int or Fraction")
                 a = ComplexRational(a)
             if not a.is_zero():
-                amps[int(i)] = a
+                amps[i] = a
         if not amps:
             raise ZeroStateError("state has no nonzero amplitude")
         object.__setattr__(self, "dims", dims)

@@ -63,6 +63,13 @@ def test_permutation_set_4_2_pinned():
     assert pset.labels() == ("I", "(1,3)", "(1,4)")
 
 
+def test_permutation_set_builds_its_labels_once():
+    pset = permutation_set(5, 2)
+    assert pset.labels() is pset.labels()
+    other = permutation_set(5, 2)
+    assert pset == other and hash(pset) == hash(other)
+
+
 def test_permutation_set_l1_family():
     for n in range(2, 7):
         pset = permutation_set(n, 1)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +270,77 @@ def test_identity_check_builds_no_dense_grid(monkeypatch):
         monkeypatch.setattr(ExactMatrix, name, forbidden)
     monkeypatch.setattr(sloccrank.linalg, "kron_all", forbidden)
     assert verify_theorem1(s, ops)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_rational_inputs_match_dense_oracles(seed, invert):
+    rng = random.Random(seed)
+    dims = random_dims(rng, max_sites=3, max_dim=3, max_total=18)
+    s = random_sparse_state(dims, rng)
+    s = QuditState(
+        dims,
+        {i: ComplexRational(v.a, v.b, rng.choice((2, 3, 6)))
+         for i, v in s.amplitudes.items()},
+    )
+    if invert:  # invertible, with the inverses' rational entries
+        ops = invert_ops(random_ilo_set(dims, rng))
+    else:  # possibly singular, with halved entries
+        ops = LocalOperatorSet(
+            [LocalOperator(op.site, ExactMatrix([[f / 2 for f in row]
+                                                 for row in op.matrix.data]))
+             for op in random_possibly_singular_set(dims, rng)]
+        )
+    expected = apply_dense(s, [op.matrix for op in ops])
+    try:
+        psi = apply_local(s, ops)
+    except ZeroResultError:
+        psi = None
+    assert (psi.amplitudes if psi else {}) == expected
+    # every sum has a denominator dividing
+    # K = lcm(state denominators) * prod over sites of lcm(entry denominators)
+    big = lcm(*(v.d for v in s.amplitudes.values()))
+    for op in ops:
+        big *= lcm(*(f.d for row in op.matrix.data for f in row))
+    p = next(q for q in (5, 7, 11, 13, 17, 19, 23) if big % q)
+    cases = [psi, random_sparse_state(dims, rng)]
+    amps = dict((cases[1] if psi is None else psi).amplitudes)
+    i = rng.choice(sorted(amps))
+    if psi is not None:  # one amplitude doubled: a corrupted psi
+        cases.append(QuditState(dims, {**amps, i: amps[i] + amps[i]}))
+    # one amplitude plus 1/p: its denominator does not divide K
+    cases.append(QuditState(dims, {**amps, i: amps[i] + ComplexRational(1, 0, p)}))
+    for candidate in cases:
+        assert verify_theorem1(s, ops, candidate) == identity_dense(s, ops, candidate)
+    assert verify_theorem1(s, ops, psi)
+    assert not verify_theorem1(s, ops, cases[-1])
+    assert not identity_dense(s, ops, cases[-1])
+
+
+def test_identity_rejects_a_psi_off_the_common_scale():
+    # phi = |00>/6 under identity operators: the sums are over scale K = 6,
+    # and 1/4 scaled to K by floor division would read 1, as 1/6 does
+    s = QuditState((2, 2), {0: ComplexRational(1, 0, 6)})
+    ops = LocalOperatorSet.identity(s.dims)
+    assert verify_theorem1(s, ops, s)
+    quarter = QuditState((2, 2), {0: ComplexRational(1, 0, 4)})
+    assert not verify_theorem1(s, ops, quarter)
+    assert not identity_dense(s, ops, quarter)
+
+
+def test_apply_and_identity_do_no_scalar_arithmetic(monkeypatch):
+    rng = random.Random(8)
+    dims = (2, 3, 2, 2)
+    s = random_sparse_state(dims, rng)
+    ops = random_ilo_set(dims, rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ComplexRational arithmetic used")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(ComplexRational, name, forbidden)
+    psi = apply_local(s, ops)
+    assert verify_theorem1(s, ops, psi)
 
 
 def test_identity_detects_wrong_routing():

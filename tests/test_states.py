@@ -1,6 +1,7 @@
 """State construction, indexing, permutation, generators and JSON I/O."""
 
 import json
+from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
@@ -99,6 +100,21 @@ def test_state_drops_zero_amplitudes_and_rejects_zero_state():
         QuditState((2, 2), {0: ComplexRational(0)})
     with pytest.raises(InvalidIndexError):
         QuditState((2, 2), {4: ComplexRational(1)})
+
+
+def test_state_rejects_mistyped_indices_and_amplitudes():
+    one = ComplexRational(1)
+    # a float or bool key used to be truncated, so {1.5, True} collapsed to {1}
+    for key in (1.5, True, 2.0, "1"):
+        with pytest.raises(InvalidIndexError):
+            QuditState((2, 2), {key: one})
+    for amp in (0.5, 1j, True, "1"):
+        with pytest.raises(TypeError, match="index 3"):
+            QuditState((2, 2), {0: one, 3: amp})
+    s = QuditState((2, 2), {1: 2, 2: Fraction(1, 3), 3: one})
+    assert s.amplitudes == {
+        1: ComplexRational(2), 2: ComplexRational(1, 0, 3), 3: one
+    }
 
 
 def test_state_is_immutable():
