@@ -203,12 +203,14 @@ def scan_to_csv(levels: int, pset: PermutationSet, rows: Sequence[ScanRow]) -> s
     )
     out.write(f"# sigma order: {';'.join(pset.labels())}\n")
     out.write(",".join(occ_cols + ["variance"] + rank_cols + ["family_label"]) + "\n")
+    tails: Dict[Tuple[Tuple[int, ...], str], str] = {}  # formatted once each
     for row in rows:
-        cells = [str(x) for x in row.occupations]
-        cells.append(str(float(row.variance)))
-        cells.extend(str(r) for r in row.ranks)
-        cells.append(f'"{row.label}"')
-        out.write(",".join(cells) + "\n")
+        tail = tails.get((row.ranks, row.label))
+        if tail is None:
+            tail = ",".join(map(str, row.ranks)) + f',"{row.label}"'
+            tails[row.ranks, row.label] = tail
+        occ = ",".join(map(str, row.occupations))
+        out.write(f"{occ},{float(row.variance)},{tail}\n")
     return out.getvalue()
 
 

@@ -32,8 +32,6 @@ from .matricizer import (
 from .scalars import format_scalar
 from .slocc import run_monotone_trials, run_theorem1_trials
 from .states import (
-    StateFormatError,
-    ZeroStateError,
     check_dims,
     gen_dicke3,
     gen_dicke4,
@@ -238,9 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # OSError: a missing, unreadable or directory path (--state, --out);
+    # ValueError: bad input, StateFormatError and ZeroStateError included
     try:
         return args.func(args)
-    except (StateFormatError, ZeroStateError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,15 @@
 """Exact matrices over complex rationals and tolerance-free rank.
 
-The exact rank path scales each row to Gaussian-integer form and runs
-one-step fraction-free (Bareiss) elimination on raw integer pairs; a dense
-matrix goes straight to elimination. Zero and duplicate rows/columns
-(rank-invariant) are dropped once, before a matricization is ever densified:
-`distinct_support` reads sparse (row, col, value) triples and
-`CoefficientMatrix.support` hands it a matricization's entries, so a sparse
-state reaches elimination without its zero grid ever being built. The
-numeric path is an SVD cross-check only; classification never depends on it.
+The exact rank path first maps the matrix to GF(p), p = 32749, where a + b*i
+becomes a + b*s with s*s = -1; a rank there equal to min(rows, cols)
+certifies full rank. Otherwise the rows are scaled to Gaussian-integer form
+and one-step fraction-free (Bareiss) elimination on raw integer pairs
+decides. Zero and duplicate rows/columns (rank-invariant) are dropped once,
+before a matricization is ever densified: `distinct_support` reads sparse
+(row, col, value) triples and `CoefficientMatrix.support` hands it a
+matricization's entries, so a sparse state reaches elimination without its
+zero grid ever being built. Floating point decides nothing: the numeric path
+is an SVD cross-check only.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
             # divisibility relies on, unless pivot == prev: (p*x - 0)/p = x
             if same and not (fa or fb):
                 continue
+            # columns left of the pivot are already zero below it
             new = []
-            for c in range(ncols):
+            for c in range(col + 1, ncols):
                 xa, xb = row[c]
                 ya, yb = prow[c]
                 # pivot*x - factor*y, then exact division by previous pivot
@@ -189,7 +192,7 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
                             (tb * prev_a - ta * prev_b) // pn,
                         )
                     )
-            row[:] = new
+            row[col + 1:] = new
         piv += 1
         prev_a, prev_b = pa, pb
         if piv == nrows:
@@ -226,10 +229,54 @@ def distinct_support(
     return grid
 
 
+# p = 1 (mod 4), so -1 has a square root mod p; p < 2**15 keeps every
+# product of two residues a single-digit CPython int
+_P, _SQRT_M1 = 32749, 15645
+
+
+def _full_rank_mod_p(m: ExactMatrix):
+    """Pivots of a full rank over GF(p), or None if p does not show one.
+
+    (a + b*i)/d -> (a + b*s)/d mod p, s*s = -1, is a ring homomorphism from
+    Z[i][1/d] to GF(p) when p does not divide d, so the pivot minor, nonzero
+    mod p, is nonzero over Q(i). A dependence mod p proves nothing, as p may
+    divide a minor. The lines of the shorter side are mapped and reduced one
+    at a time; each kept line is scaled to pivot 1 and is zero left of it and
+    at every earlier pivot, so the pivot minor is triangular. A dependent
+    line ends the pass.
+    """
+    p, s = _P, _SQRT_M1
+    tall = m.rows > m.cols
+    basis, pivots = [], []  # basis: (pivot column c, kept line from c on)
+    for k, line in enumerate(zip(*m.data) if tall else m.data):
+        try:
+            x = [(v.a + v.b * s) * (1 if v.d == 1 else pow(v.d, -1, p)) % p for v in line]
+        except ValueError:  # p divides a denominator
+            return None
+        for c, tail in basis:  # a kept line is zero left of c: update x[c:]
+            if f := x[c]:
+                x[c:] = [(u - f * w) % p for u, w in zip(x[c:], tail)]
+        pv = next(filter(None, x), 0)
+        if not pv:
+            return None
+        c = x.index(pv)  # the first nonzero
+        inv = pow(pv, -1, p)
+        basis.append((c, x[c:] if inv == 1 else [u * inv % p for u in x[c:]]))
+        pivots.append((c, k) if tall else (k, c))
+    return pivots
+
+
 def rank_exact(m: ExactMatrix) -> RankResult:
-    """Exact rank over the complex rationals; deterministic for equal input."""
-    rank, pivots = _bareiss_rank(_gaussian_rows(m))
-    return RankResult(rank, "exact", tuple(pivots))
+    """Exact rank over the complex rationals; deterministic for equal input.
+
+    A full rank over GF(p) certifies itself; any lower rank is Bareiss's.
+    """
+    # a side of 1 or 2 (most identity-check matrices) costs Bareiss less than
+    # a failed GF(p) pass would add, so such a matrix skips the pass
+    pivots = _full_rank_mod_p(m) if min(m.rows, m.cols) > 2 else None
+    if pivots is None:
+        pivots = _bareiss_rank(_gaussian_rows(m))[1]
+    return RankResult(len(pivots), "exact", tuple(pivots))
 
 
 SVD_SAFETY = 100.0  # threshold factor of the numeric cross-check

@@ -266,6 +266,24 @@ def test_figure_scan_csvs_are_pinned(levels, n):
     assert hashlib.sha256(csv.encode()).hexdigest() == _FIGURE_CSV_SHA256[levels, n]
 
 
+def test_scan_csv_formats_each_ranks_and_label_pair():
+    pset = permutation_set(4, 2)
+    same = (2, 2, 2)
+    rows = [
+        ScanRow((1, 2, 1), Fraction(1, 6), same, "F{2,2,2}"),
+        ScanRow((2, 1, 1), Fraction(1, 6), same, "F{2,2,2}_b"),
+        ScanRow((2, 2, 0), Fraction(4, 3), (1, 2, 3), "F{1,2,3}"),
+        ScanRow((4, 0, 0), Fraction(8, 3), same, "F{2,2,2}"),
+    ]
+    body = scan_to_csv(3, pset, rows).splitlines()[3:]
+    assert body == [
+        '1,2,1,0.16666666666666666,2,2,2,"F{2,2,2}"',
+        '2,1,1,0.16666666666666666,2,2,2,"F{2,2,2}_b"',
+        '2,2,0,1.3333333333333333,1,2,3,"F{1,2,3}"',
+        '4,0,0,2.6666666666666665,2,2,2,"F{2,2,2}"',
+    ]
+
+
 def test_scan_csv_levels4_has_l3_column():
     pset, rows = dicke_scan(4, 4)
     csv = scan_to_csv(4, pset, rows)

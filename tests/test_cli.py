@@ -164,3 +164,14 @@ def test_malformed_state_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "signature", "--state", str(path))
     assert code == 2
     assert "unknown fields" in err
+
+
+def test_directory_paths_exit_2(tmp_path, capsys):
+    # a directory as --state or --out is an input error, not a traceback
+    code, _, err = run(capsys, "rank", "--state", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    code, out, err = run(capsys, "gen", "--kind", "ghz", "--n", "3", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""

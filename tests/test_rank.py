@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sloccrank.linalg import (
+    _P,
+    _SQRT_M1,
     ExactMatrix,
+    _full_rank_mod_p,
     det_exact,
     kron_all,
     rank_exact,
@@ -164,16 +167,112 @@ def sparse_matrices(draw, square=False):
     return ExactMatrix(cells)
 
 
-@given(st.one_of(matrices_with_zero_and_repeated_lines(), sparse_matrices()))
-@settings(max_examples=300, deadline=None)
-def test_pivots_select_a_nonzero_minor_of_rank_size(m):
-    res = rank_exact(m)
+@st.composite
+def dense_matrices(draw):
+    """Random matrices, or sums of r <= 3 outer products; sides 3-12.
+
+    Up to half the entries of a factor may be zero, so pivots are not always
+    found in column order.
+    """
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    rows, cols = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    holes = draw(st.sampled_from([0.0, 0.0, 0.3, 0.5]))
+
+    def entry():
+        if rng.random() < holes:
+            return ZERO
+        return ComplexRational(
+            Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3])),
+            rng.randint(-4, 4),
+        )
+
+    r = draw(st.sampled_from([None, 1, 2, 3]))
+    if r is None:
+        return ExactMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+    grid = [[ZERO] * cols for _ in range(rows)]
+    for _ in range(r):
+        u = [entry() for _ in range(rows)]
+        v = [entry() for _ in range(cols)]
+        for i in range(rows):
+            for j in range(cols):
+                grid[i][j] = grid[i][j] + u[i] * v[j]
+    return ExactMatrix(grid)
+
+
+def assert_pivot_minor_is_nonzero(m, res):
     rows = sorted({r for r, _ in res.pivots})
     cols = sorted({c for _, c in res.pivots})
-    assert len(rows) == len(cols) == res.rank == rank_mod_prime(m)
+    assert len(rows) == len(cols) == res.rank
+    assert res.method == "exact"
     if res.rank:
         minor = ExactMatrix([[m.data[r][c] for c in cols] for r in rows])
         assert not det_exact(minor).is_zero()
+
+
+@given(
+    st.one_of(matrices_with_zero_and_repeated_lines(), sparse_matrices(), dense_matrices())
+)
+@settings(max_examples=300, deadline=None)
+def test_pivots_select_a_nonzero_minor_of_rank_size(m):
+    res = rank_exact(m)
+    assert res.rank == rank_mod_prime(m)
+    assert_pivot_minor_is_nonzero(m, res)
+
+
+# -- the GF(p) full-rank certificate and its fallback ------------------------
+
+def test_certificate_prime_has_a_square_root_of_minus_one():
+    assert _P % 4 == 1 and _P < 2**15
+    assert all(_P % k for k in range(2, int(_P**0.5) + 1))
+    assert _SQRT_M1 * _SQRT_M1 % _P == _P - 1
+
+
+def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss():
+    # s - i maps to s - s = 0 in GF(p): the determinant s - i is lost there,
+    # and the first two rows become equal
+    s_minus_i = ComplexRational(_SQRT_M1, -1)
+    m = ExactMatrix(
+        [
+            [s_minus_i + ONE, ONE, ZERO, ComplexRational(2)],
+            [ONE, ONE, ZERO, ComplexRational(2)],
+            [ZERO, ComplexRational(3, 1), ONE, ZERO],
+            [ComplexRational(0, 1), ZERO, ComplexRational(5), ONE],
+        ]
+    )
+    assert _full_rank_mod_p(m) is None
+    res = rank_exact(m)
+    assert res.rank == rank_mod_prime(m) == 4
+    assert_pivot_minor_is_nonzero(m, res)
+
+
+def test_denominator_divisible_by_p_falls_back_to_bareiss():
+    # one block has determinant 1/p, the other loses it if its row is scaled
+    # by p: an image mod p is singular whether 1/p maps to 0 or to p/p
+    inv_p = ComplexRational(Fraction(1, _P))
+    m = ExactMatrix(
+        [
+            [inv_p, ONE, ZERO, ZERO],
+            [ZERO, ONE, ZERO, ZERO],
+            [ZERO, ZERO, inv_p, ONE],
+            [ZERO, ZERO, ONE, ZERO],
+        ]
+    )
+    assert _full_rank_mod_p(m) is None
+    res = rank_exact(m)
+    assert res.rank == rank_mod_prime(m) == 4
+    assert_pivot_minor_is_nonzero(m, res)
+
+
+def test_certificate_reduces_lines_whose_pivots_are_out_of_column_order():
+    # rank 2; the first row's pivot is column 1, the second row's column 0,
+    # and the third row has a zero under the first pivot. A pass that scaled
+    # only x[c:] when cross-multiplying called this matrix full rank.
+    a, b = ComplexRational(1, -1), ComplexRational(-1, -1)
+    m = ExactMatrix([[ZERO, b, a], [b, a, ZERO], [a, ZERO, a]])
+    assert _full_rank_mod_p(m) is None
+    res = rank_exact(m)
+    assert res.rank == rank_mod_prime(m) == 2
+    assert_pivot_minor_is_nonzero(m, res)
 
 
 def test_rank_exact_deterministic():
