@@ -147,9 +147,9 @@ _SCAN_LIMITS = {3: 14, 4: 12}
 
 
 def _occupation_variance(counts: Sequence[int]) -> Fraction:
-    m = len(counts)
-    mean = Fraction(sum(counts), m)
-    return sum((Fraction(c) - mean) ** 2 for c in counts) / m
+    """Population variance of the counts, (m * sum c^2 - n^2) / m^2."""
+    m, n = len(counts), sum(counts)
+    return Fraction(m * sum(c * c for c in counts) - n * n, m * m)
 
 
 def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:

@@ -96,12 +96,8 @@ class ExactMatrix:
         for i in range(self.rows):
             for k in range(other.rows):
                 row = []
-                for j in range(self.cols):
-                    a = self.data[i][j]
-                    if a.is_zero():
-                        row.extend([ZERO] * other.cols)
-                    else:
-                        row.extend(a * b for b in other.data[k])
+                for a in self.data[i]:
+                    row.extend(a * b for b in other.data[k])
                 out.append(row)
         return ExactMatrix(out)
 
@@ -167,14 +163,9 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
         pivots.append((row_ids[piv], col))
         pn = prev_a * prev_a + prev_b * prev_b
         prow = rows[piv]
-        same = (pa, pb) == (prev_a, prev_b)
         for r in range(piv + 1, nrows):
             row = rows[r]
             fa, fb = row[col]
-            # f == 0 still needs the pivot/prev rescale that one-step Bareiss
-            # divisibility relies on, unless pivot == prev: (p*x - 0)/p = x
-            if same and not (fa or fb):
-                continue
             # columns left of the pivot are already zero below it
             new = []
             for c in range(col + 1, ncols):
@@ -287,7 +278,7 @@ def rank_numeric(m: ExactMatrix) -> RankResult:
     try:
         arr = m.to_numpy()
     except OverflowError as exc:
-        raise OverflowError(f"entries too large for float conversion: {exc}")
+        raise ValueError(f"entries too large for float conversion: {exc}") from exc
     s = np.linalg.svd(arr, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return RankResult(0, "numeric", ())

@@ -14,10 +14,7 @@ from math import gcd
 class ComplexRational:
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b=0, d=1, _normalized=False):
-        if _normalized:
-            self.a, self.b, self.d = a, b, d
-            return
+    def __init__(self, a, b=0, d=1):
         if isinstance(a, Fraction) or isinstance(b, Fraction):
             # ints have .numerator and .denominator too
             da, db = a.denominator, b.denominator
@@ -53,11 +50,6 @@ class ComplexRational:
         if other is NotImplemented:
             return NotImplemented
         d1, d2 = self.d, other.d
-        if d1 == 1 and d2 == 1:
-            # already canonical: gcd(a, b, 1) == 1
-            return ComplexRational(
-                self.a + other.a, self.b + other.b, 1, _normalized=True
-            )
         return ComplexRational(
             self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
         )
@@ -65,7 +57,7 @@ class ComplexRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexRational(-self.a, -self.b, self.d, _normalized=True)
+        return ComplexRational(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -84,12 +76,9 @@ class ComplexRational:
         if other is NotImplemented:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        re = a1 * a2 - b1 * b2
-        im = a1 * b2 + b1 * a2
-        if self.d == 1 and other.d == 1:
-            # already canonical: gcd(re, im, 1) == 1
-            return ComplexRational(re, im, 1, _normalized=True)
-        return ComplexRational(re, im, self.d * other.d)
+        return ComplexRational(
+            a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d
+        )
 
     __rmul__ = __mul__
 
@@ -114,7 +103,7 @@ class ComplexRational:
         return other / self
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.a, -self.b, self.d, _normalized=True)
+        return ComplexRational(self.a, -self.b, self.d)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -123,7 +112,11 @@ class ComplexRational:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a real value equals the int or Fraction it coerces from, so it
+        # must hash like one
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __complex__(self):
         return complex(self.a / self.d, self.b / self.d)
@@ -142,9 +135,7 @@ ONE = ComplexRational(1)
 def _coerce(value):
     if isinstance(value, ComplexRational):
         return value
-    if isinstance(value, int):
-        return ComplexRational(value, 0, 1, _normalized=True)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return ComplexRational(value)
     return NotImplemented
 

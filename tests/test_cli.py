@@ -175,3 +175,23 @@ def test_directory_paths_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_rank_numeric_on_huge_amplitude_exits_2(tmp_path, capsys):
+    # 10**400 has no float, so the SVD cross-check cannot run on it
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "dims": [2, 2],
+        "amplitudes": [
+            {"index": [0, 0], "re": "1" + "0" * 400, "im": "0"},
+            {"index": [1, 1], "re": "1", "im": "0"},
+        ],
+    }))
+    code, out, err = run(capsys, "rank", "--state", str(path), "--l", "1",
+                         "--numeric")
+    assert code == 2
+    assert err.startswith("error:") and "too large" in err
+    assert out == ""
+    code, out, _ = run(capsys, "rank", "--state", str(path), "--l", "1")
+    assert code == 0
+    assert "rank=2" in out

@@ -62,6 +62,16 @@ def test_int_coercion():
     assert 6 / ComplexRational(2) == ComplexRational(3)
 
 
+@given(rationals)
+def test_real_value_hashes_like_the_rational_it_equals(q):
+    z = ComplexRational(q)
+    plain = int(q) if q.denominator == 1 else q
+    assert z == plain
+    assert hash(z) == hash(plain)
+    assert z in {plain} and plain in {z}
+    assert len({z, plain}) == 1
+
+
 @given(scalars, scalars)
 def test_add_matches_componentwise(x, y):
     s = x + y
