@@ -2,25 +2,25 @@
 
 The exact rank path first maps the matrix to GF(p), p = 32749, where a + b*i
 becomes a + b*s with s*s = -1; a rank there equal to min(rows, cols)
-certifies full rank. Otherwise the rows are scaled to Gaussian-integer form
-and one-step fraction-free (Bareiss) elimination on raw integer pairs
-decides. Zero and duplicate rows/columns (rank-invariant) are dropped once,
-before a matricization is ever densified: `distinct_support` reads sparse
-(row, col, value) triples and `CoefficientMatrix.support` hands it a
-matricization's entries, so a sparse state reaches elimination without its
-zero grid ever being built. Floating point decides nothing: the numeric path
-is an SVD cross-check only.
+certifies full rank. Otherwise `scalars.gaussian_pairs` scales each row to
+Gaussian-integer pairs, and one-step fraction-free (Bareiss) elimination on
+those decides; `det_exact` runs the same kernel. Zero and duplicate
+rows/columns (rank-invariant) are dropped once, before a matricization is
+ever densified: `distinct_support` reads sparse (row, col, value) triples and
+`CoefficientMatrix.support` hands it a matricization's entries, so a sparse
+state reaches elimination without its zero grid ever being built. Floating
+point decides nothing: the numeric path is an SVD cross-check only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import ComplexRational, ONE, ZERO
+from .scalars import ComplexRational, ONE, ZERO, gaussian_pairs
 
 
 class ExactMatrix:
@@ -119,21 +119,6 @@ class RankResult:
     rank: int
     method: str  # "exact" | "numeric"
     pivots: Tuple[Tuple[int, int], ...] = ()
-
-
-def _gaussian_rows(m: ExactMatrix) -> List[List[Tuple[int, int]]]:
-    """Scale each row by the lcm of its denominators (rank-invariant)."""
-    out = []
-    for row in m.data:
-        den = 1
-        for x in row:
-            if x.d != 1:
-                den = den * x.d // gcd(den, x.d)
-        if den == 1:
-            out.append([(x.a, x.b) for x in row])
-        else:
-            out.append([(x.a * (den // x.d), x.b * (den // x.d)) for x in row])
-    return out
 
 
 def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[int, int]]]:
@@ -266,7 +251,7 @@ def rank_exact(m: ExactMatrix) -> RankResult:
     # a failed GF(p) pass would add, so such a matrix skips the pass
     pivots = _full_rank_mod_p(m) if min(m.rows, m.cols) > 2 else None
     if pivots is None:
-        pivots = _bareiss_rank(_gaussian_rows(m))[1]
+        pivots = _bareiss_rank([gaussian_pairs(row)[1] for row in m.data])[1]
     return RankResult(len(pivots), "exact", tuple(pivots))
 
 
@@ -294,13 +279,13 @@ def det_exact(m: ExactMatrix) -> ComplexRational:
     """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    grid = _gaussian_rows(m)
+    scales, rows = zip(*map(gaussian_pairs, m.data))
+    grid = list(rows)
     rank, pivots = _bareiss_rank(grid)
     if rank < m.rows:
         return ZERO
     order = [r for r, _ in pivots]
     inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
     sign = -1 if inversions % 2 else 1
-    scale = prod(lcm(*(x.d for x in row)) for row in m.data)
     a, b = grid[-1][-1]
-    return ComplexRational(sign * a, sign * b, scale)
+    return ComplexRational(sign * a, sign * b, prod(scales))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Collection, List, Tuple
 
 
 class ComplexRational:
@@ -138,6 +139,18 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return ComplexRational(value)
     return NotImplemented
+
+
+def gaussian_pairs(values: Collection[ComplexRational]) -> Tuple[int, List[Tuple[int, int]]]:
+    """L, the lcm of the denominators, and each L * v as a Gaussian integer
+    (a, b). values is read twice and never copied."""
+    den = 1
+    for v in values:
+        if v.d != 1:
+            den = den * v.d // gcd(den, v.d)
+    if den == 1:
+        return 1, [(v.a, v.b) for v in values]
+    return den, [(v.a * (den // v.d), v.b * (den // v.d)) for v in values]
 
 
 def _fmt_rational(num: int, den: int) -> str:

@@ -3,22 +3,22 @@
 Everything here is exact: random local operators have Gaussian-integer
 entries, so the matricization identity for locally transformed states and
 the rank-nonincrease checks are decided with no tolerance at all. apply_local
-and verify_theorem1 sum Gaussian-integer pairs under one common scale, so they
-take rational inputs too and do no ComplexRational arithmetic.
+and verify_theorem1 run one local-operator kernel on Gaussian-integer pairs
+under one common scale, so they take rational inputs too and do no
+ComplexRational arithmetic; verify_theorem1 builds no coefficient matrix.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm, prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classifier import signature
 from .linalg import ExactMatrix, det_exact
-from .matricizer import coefficient_matrix, optimal_split, permutation_set
-from .scalars import ComplexRational, ZERO
-from .states import QuditState, ZeroStateError, multiindex_of, total_dim
+from .matricizer import optimal_split, permutation_set
+from .scalars import ComplexRational, ZERO, gaussian_pairs
+from .states import QuditState, ZeroStateError, reorder_indices, total_dim
 
 
 class ZeroResultError(ZeroStateError):
@@ -78,14 +78,39 @@ class LocalOperatorSet:
         )
 
 
-def _integer_columns(matrix: ExactMatrix) -> Tuple[int, List[List[Tuple[int, ...]]]]:
-    """den, the lcm of F's entry denominators, and per column s the nonzero
-    entries (t, a, b) of den * F[:, s] as Gaussian integers a + bi."""
-    den = lcm(*(f.d for row in matrix.data for f in row))
-    return den, [
-        [(t, f.a * (den // f.d), f.b * (den // f.d)) for t, f in enumerate(col) if f]
-        for col in zip(*matrix.data)
-    ]
+def _integer_form(state: QuditState, ops: LocalOperatorSet) -> Tuple[int, list, list]:
+    """K = L * prod den_q, L * phi's pairs in amplitude order and per site q
+    the nonzero entries (t, a, b) of each column s of den_q * F_q, with L
+    and den_q the lcms of the denominators of phi and F_q."""
+    ops.check_dims(state.dims)
+    scale, pairs = gaussian_pairs(state.amplitudes.values())
+    columns = []
+    for op in ops:
+        den, flat = gaussian_pairs([f for row in op.matrix.data for f in row])
+        scale *= den
+        columns.append([[(t, a, b) for t, (a, b) in enumerate(flat[s::op.dim]) if a or b]
+                        for s in range(op.dim)])
+    return scale, pairs, columns
+
+
+def _apply_columns(
+    amps: Dict[int, Tuple[int, int]], dims: Sequence[int], site_columns: Sequence[list]
+) -> Dict[int, Tuple[int, int]]:
+    """The nonzero entries of (F_1 x ... x F_n) amps, site by site, with
+    site_columns[k] the _integer_form columns of the factor on dims[k]."""
+    stride = total_dim(dims)
+    for d, columns in zip(dims, site_columns):
+        stride //= d
+        new: Dict[int, Tuple[int, int]] = {}
+        for i, (x, y) in amps.items():
+            s = i // stride % d
+            base = i - s * stride
+            for t, a, b in columns[s]:
+                j = base + t * stride
+                u, w = new.get(j, (0, 0))
+                new[j] = (u + a * x - b * y, w + a * y + b * x)
+        amps = {j: v for j, v in new.items() if v != (0, 0)}
+    return amps
 
 
 def apply_local(state: QuditState, ops: LocalOperatorSet) -> QuditState:
@@ -95,35 +120,19 @@ def apply_local(state: QuditState, ops: LocalOperatorSet) -> QuditState:
     Raises ZeroResultError if the result is the zero vector (possible when
     some factor is singular).
     """
-    dims = state.dims
-    ops.check_dims(dims)
-    n = len(dims)
-    strides = [1] * n
-    for k in range(n - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
-    scale = lcm(*(v.d for v in state.amplitudes.values()))
-    amps = {i: (v.a * (scale // v.d), v.b * (scale // v.d))
-            for i, v in state.amplitudes.items()}
-    for k in range(n):
-        den, columns = _integer_columns(ops[k + 1].matrix)
-        scale *= den
-        d = dims[k]
-        stride = strides[k]
-        new: Dict[int, Tuple[int, int]] = {}
-        for i, (x, y) in amps.items():
-            s = (i // stride) % d
-            base = i - s * stride
-            for t, a, b in columns[s]:
-                j = base + t * stride
-                u, w = new.get(j, (0, 0))
-                new[j] = (u + a * x - b * y, w + a * y + b * x)
-        amps = {j: v for j, v in new.items() if v != (0, 0)}
-        if not amps:
-            raise ZeroResultError(
-                "local operator set annihilated the state (singular factors)"
-            )
+    scale, pairs, columns = _integer_form(state, ops)
+    amps = _apply_columns(dict(zip(state.amplitudes, pairs)), state.dims, columns)
+    if not amps:
+        raise ZeroResultError(
+            "local operator set annihilated the state (singular factors)"
+        )
     amplitudes = {j: ComplexRational(x, y, scale) for j, (x, y) in amps.items()}
-    return QuditState(dims, amplitudes)
+    return QuditState(state.dims, amplitudes)
+
+
+def _check_psi_dims(state: QuditState, psi: Optional[QuditState]) -> None:
+    if psi is not None and psi.dims != state.dims:
+        raise ValueError(f"psi has dims {psi.dims}, the state has dims {state.dims}")
 
 
 def verify_theorem1(
@@ -136,49 +145,38 @@ def verify_theorem1(
     of the row- and column-block factors, each factor travelling with its
     qudit under sigma. Checked at every split l = 1..n-1 and every sigma of
     its canonical set, all against one psi (computed here unless given).
-    The right-hand side is summed over the nonzero entries (r, c, v) of
-    M^sigma(phi): each adds v A[:, r] B[:, c]^T, which is column r*cols + c
-    of the Kronecker product of all n factors in sigma's site order, folded
-    to rows x cols and built site by site from the nonzero entries of each
-    factor's column at the entry's digit. The sums are Gaussian-integer pairs
-    under one scale K = L * prod den_q, L and den_q the lcms of the
-    denominators of phi and F_q; psi is compared scaled to K, and an entry
-    whose lowest-terms denominator does not divide K equals no such sum.
-    Holds for arbitrary, including singular, factors; if psi is the zero
-    vector no entry may survive.
+    M^sigma(phi) at every l is a row-major fold of phi with its sites in
+    sigma's order and vec(A M B^T) = (A x B) vec(M), so each identity holds
+    iff the factors in that order map the reordered phi to psi under the
+    same reorder: checked once per distinct site order by apply_local's
+    kernel, scaled to K (see _integer_form); a psi whose lcm of denominators
+    does not divide K fails. Holds for arbitrary, including singular,
+    factors; a zero psi needs every sum to vanish. ValueError if psi is not
+    on the state's dims.
     """
     n = state.n
-    ops.check_dims(state.dims)
+    _check_psi_dims(state, psi)
+    scale, phi_pairs, columns = _integer_form(state, ops)
     if psi is None:
         try:
             psi = apply_local(state, ops)
         except ZeroResultError:
             pass
-    phi_scale = lcm(*(v.d for v in state.amplitudes.values()))
-    dens, columns = zip(*(_integer_columns(op.matrix) for op in ops))  # by site
-    scale = phi_scale * prod(dens)
-    if psi is not None and any(scale % v.d for v in psi.amplitudes.values()):
+    psi_amps = {} if psi is None else psi.amplitudes
+    psi_scale, psi_pairs = gaussian_pairs(psi_amps.values())
+    if scale % psi_scale:
         return False
-    for l in range(1, n):
-        for sigma in permutation_set(n, l):
-            m_phi = coefficient_matrix(state, l, sigma)
-            cols, dims = m_phi.cols, m_phi.row_dims + m_phi.col_dims
-            site_columns = [columns[q - 1] for q in sigma.site_order(n)]
-            rhs: Dict[int, Tuple[int, int]] = {}
-            for r, c, v in m_phi.entries:
-                terms = [(0, v.a * (phi_scale // v.d), v.b * (phi_scale // v.d))]
-                for col, s in zip(site_columns, multiindex_of(r * cols + c, dims)):
-                    d = len(col)
-                    terms = [(j * d + t, a * x - b * y, a * y + b * x)
-                             for j, x, y in terms for t, a, b in col[s]]
-                for j, x, y in terms:
-                    u, w = rhs.get(j, (0, 0))
-                    rhs[j] = (u + x, w + y)
-            got = {divmod(j, cols): v for j, v in rhs.items() if v != (0, 0)}
-            want = () if psi is None else coefficient_matrix(psi, l, sigma).entries
-            if got != {(r, c): (v.a * (scale // v.d), v.b * (scale // v.d))
-                        for r, c, v in want}:
-                return False
+    k = scale // psi_scale
+    psi_pairs = [(a * k, b * k) for a, b in psi_pairs]
+    orders = dict.fromkeys(
+        sigma.site_order(n) for l in range(1, n) for sigma in permutation_set(n, l)
+    )
+    for order in orders:
+        dims = tuple(state.dims[q - 1] for q in order)
+        phi = dict(zip(reorder_indices(state.amplitudes, state.dims, order), phi_pairs))
+        got = _apply_columns(phi, dims, [columns[q - 1] for q in order])
+        if got != dict(zip(reorder_indices(psi_amps, state.dims, order), psi_pairs)):
+            return False
     return True
 
 
@@ -200,8 +198,10 @@ def check_monotone_nonincrease(
     Returns (ok, {(l, sigma): (rank_before, rank_after)}). Raises
     ZeroResultError when the operators annihilate the state; callers count
     those trials as skips, not failures. psi, the transformed state, is
-    computed here unless the caller already has it.
+    computed here unless the caller already has it; ValueError if psi is
+    not on the state's dims.
     """
+    _check_psi_dims(state, psi)
     before = rank_table(state)
     after = rank_table(apply_local(state, ops) if psi is None else psi)
     pairs = {key: (before[key], after[key]) for key in before}

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sloccrank.linalg import ExactMatrix, rank_exact
 from sloccrank.matricizer import (
-    CoefficientMatrix,
-    PermutationSet,
     QuditPermutation,
     coefficient_matrix,
     optimal_split,

@@ -150,8 +150,9 @@ def matrices_with_zero_and_repeated_lines(draw):
 def sparse_matrices(draw, square=False):
     """Permutation matrices, or 0/±1/±i matrices with at least 70 % zeros.
 
-    Their rows often have a zero factor under a pivot equal to the previous
-    one, where elimination leaves the row untouched.
+    Their pivots seldom sit on the diagonal: the search skips zero columns
+    and swaps rows, and most rows below a pivot hold a zero factor there, so
+    their update is the pivot times the row over the previous pivot.
     """
     rng = random.Random(draw(st.integers(0, 10**6)))
     rows = draw(st.integers(1, 7))

@@ -1,6 +1,7 @@
 """Exact complex-rational scalar arithmetic and its text format."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from sloccrank.scalars import (
     ZERO,
     format_rational,
     format_scalar,
+    gaussian_pairs,
     parse_rational,
     parse_scalar,
 )
@@ -142,3 +144,17 @@ def test_rational_rejects_non_rationals(bad):
 def test_scalar_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+def test_gaussian_pairs_scale_by_the_lcm_of_denominators():
+    amps = {0: ComplexRational(1, 2, 4), 5: ComplexRational(-1, 0, 6), 7: ONE * 3}
+    assert gaussian_pairs(amps.values()) == (12, [(3, 6), (-2, 0), (36, 0)])
+    assert gaussian_pairs([ComplexRational(2, -1), ZERO]) == (1, [(2, -1), (0, 0)])
+    assert gaussian_pairs([]) == (1, [])
+
+
+@given(st.lists(scalars, max_size=6))
+def test_gaussian_pairs_are_the_values_times_one_scale(values):
+    den, pairs = gaussian_pairs(values)
+    assert den == lcm(1, *(v.d for v in values))
+    assert [ComplexRational(a, b, den) for a, b in pairs] == values

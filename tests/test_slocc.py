@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sloccrank.classifier
+import sloccrank.matricizer
 import sloccrank.slocc
 from sloccrank.linalg import ExactMatrix, det_exact, rank_exact
 from sloccrank.matricizer import CoefficientMatrix, QuditPermutation, permutation_set
@@ -328,6 +329,17 @@ def test_identity_rejects_a_psi_off_the_common_scale():
     assert not identity_dense(s, ops, quarter)
 
 
+def test_identity_and_monotone_reject_a_psi_on_other_dims():
+    one = ComplexRational(1)
+    phi = QuditState((2, 3), {0: one})
+    ops = LocalOperatorSet.identity(phi.dims)
+    for psi in (QuditState((3, 2), {0: one}), QuditState((2, 3, 2, 2), {0: one})):
+        with pytest.raises(ValueError, match="dims"):
+            verify_theorem1(phi, ops, psi)
+        with pytest.raises(ValueError, match="dims"):
+            check_monotone_nonincrease(phi, ops, psi)
+
+
 def test_apply_and_identity_do_no_scalar_arithmetic(monkeypatch):
     rng = random.Random(8)
     dims = (2, 3, 2, 2)
@@ -456,7 +468,7 @@ def test_monotone_harness_passes_and_reports_skips():
 
 
 def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
-    calls = {"apply_local": 0, "rank_exact": 0}
+    calls = {"apply_local": 0, "rank_exact": 0, "matricize": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -470,14 +482,22 @@ def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
     monkeypatch.setattr(
         sloccrank.classifier, "rank_exact", counting("rank_exact", rank_exact)
     )
+    # every coefficient matrix, whoever asks for it, is built here
+    monkeypatch.setattr(
+        sloccrank.matricizer,
+        "_matricize_by_order",
+        counting("matricize", sloccrank.matricizer._matricize_by_order),
+    )
     records = run_theorem1_trials(3, seed=20260823)
     assert all(r["result"] == "pass" for r in records)
     assert calls["apply_local"] == len(records)
-    expected_ranks = 0
+    # phi and psi once per (l, sigma): the rank tables' matrices, no others
+    expected = 0
     for r in records:
         n = len(r["dims"])
-        expected_ranks += 2 * sum(len(permutation_set(n, l)) for l in range(1, n))
-    assert calls["rank_exact"] == expected_ranks
+        expected += 2 * sum(len(permutation_set(n, l)) for l in range(1, n))
+    assert calls["rank_exact"] == expected
+    assert calls["matricize"] == expected
 
 
 def test_monotone_harness_checks_invertibility_once_per_trial(monkeypatch):

@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
