@@ -30,7 +30,6 @@ from .matricizer import (
     split_capacity,
 )
 from .slocc import (
-    LocalOperator,
     LocalOperatorSet,
     ZeroResultError,
     apply_local,

@@ -46,7 +46,7 @@ def signature(state: QuditState, l: Union[int, str] = "auto") -> RankSignature:
         rank_exact(coefficient_matrix(state, l, sigma).support()).rank
         for sigma in pset
     )
-    return RankSignature(l, pset, ranks)
+    return RankSignature(pset.l, pset, ranks)
 
 
 def family_label(sig: RankSignature) -> str:

@@ -13,6 +13,7 @@ and column pools would allow it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -22,6 +23,10 @@ from typing import List, Mapping, Sequence, Tuple
 from .linalg import ExactMatrix, distinct_support
 from .scalars import ComplexRational, ZERO
 from .states import QuditState, check_dims, reorder_indices, total_dim
+
+
+_TRANSPOSITION = re.compile(r"\(([0-9]+),([0-9]+)\)")
+_TRANSPOSITIONS = re.compile(rf"(?:{_TRANSPOSITION.pattern})+")
 
 
 @dataclass(frozen=True)
@@ -63,17 +68,14 @@ class QuditPermutation:
 
     @classmethod
     def parse(cls, text: str) -> "QuditPermutation":
-        text = text.strip()
-        if text in ("I", "", "()"):
+        """Inverse of label(): "I" (or "" or "()"), else "(r,c)(r,c)..." in
+        ASCII digits; spaces are ignored."""
+        body = text.strip().replace(" ", "")
+        if body in ("I", "", "()"):
             return cls(())
-        parts = text.replace(" ", "")
-        if not (parts.startswith("(") and parts.endswith(")")):
+        if not _TRANSPOSITIONS.fullmatch(body):
             raise ValueError(f"cannot parse permutation {text!r}")
-        ts = []
-        for chunk in parts[1:-1].split(")("):
-            r, c = chunk.split(",")
-            ts.append((int(r), int(c)))
-        return cls(tuple(ts))
+        return cls(tuple((int(r), int(c)) for r, c in _TRANSPOSITION.findall(body)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,8 @@ class PermutationSet:
 
 
 def _check_split(n: int, l: int) -> int:
-    l = int(l)
+    if type(l) is not int:  # no float, bool or str
+        raise TypeError(f"split l={l!r} is not an int")
     if not 1 <= l <= n - 1:
         raise ValueError(f"split l={l} out of range [1, {n - 1}]")
     return l
@@ -226,7 +229,9 @@ def symmetric_matrix(
 def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix:
     """Single/multi-site reduced density matrix M M^dagger (unnormalized)."""
     n = state.n
-    sites = [int(q) for q in row_qudits]
+    sites = list(row_qudits)
+    if any(type(q) is not int for q in sites):  # no float or bool
+        raise TypeError(f"row qudits must be ints, got {sites}")
     if not sites or len(sites) >= n:
         raise ValueError(
             f"row qudits must be a nonempty proper subset of 1..{n}, got {sites}"

@@ -7,6 +7,7 @@ floating tolerance.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Collection, List, Tuple
@@ -153,6 +154,13 @@ def gaussian_pairs(values: Collection[ComplexRational]) -> Tuple[int, List[Tuple
     return den, [(v.a * (den // v.d), v.b * (den // v.d)) for v in values]
 
 
+# the text grammar of a rational part; [0-9], not \d, which takes any
+# Unicode digit
+_UNSIGNED = "[0-9]+(?:/[0-9]+)?"
+_RATIONAL = re.compile(f"[+-]?{_UNSIGNED}")
+_SCALAR = re.compile(f"([+-]?{_UNSIGNED})([+-]{_UNSIGNED})i")
+
+
 def _fmt_rational(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
@@ -162,40 +170,25 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (no floats accepted)."""
+    """Parse "p" or "p/q": an optional sign and ASCII digits, nothing else."""
     text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
         raise ValueError(f"malformed rational {text!r}") from exc
-    if "." in text or "e" in text.lower():
-        raise ValueError(f"malformed rational {text!r} (floats rejected)")
-    return value
 
 
 def format_scalar(z: ComplexRational) -> str:
     """Render as "re+imi" with both parts in p/q form, e.g. "1/2-3i"."""
-    re = z.re
-    im = z.im
-    sign = "-" if im < 0 else "+"
-    return f"{format_rational(re)}{sign}{format_rational(abs(im))}i"
+    sign = "-" if z.b < 0 else "+"
+    return f"{format_rational(z.re)}{sign}{format_rational(abs(z.im))}i"
 
 
 def parse_scalar(text: str) -> ComplexRational:
-    """Inverse of format_scalar."""
-    body = text.strip()
-    if not body.endswith("i"):
-        raise ValueError(f"malformed scalar {text!r}: missing imaginary part")
-    body = body[:-1]
-    # split at the sign that separates the two parts (not a leading sign,
-    # not the sign inside a denominator -- denominators are positive)
-    for pos in range(len(body) - 1, 0, -1):
-        ch = body[pos]
-        if ch in "+-" and body[pos - 1] not in "+-/":
-            re_text, im_text = body[:pos], body[pos:]
-            break
-    else:
+    """Inverse of format_scalar: "re+imi" or "re-imi", each part p or p/q."""
+    m = _SCALAR.fullmatch(text.strip())
+    if m is None:
         raise ValueError(f"malformed scalar {text!r}")
-    re = parse_rational(re_text)
-    im = parse_rational(im_text[1:] if im_text[0] == "+" else im_text)
-    return ComplexRational(re, im)
+    return ComplexRational(parse_rational(m[1]), parse_rational(m[2]))

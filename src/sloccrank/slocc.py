@@ -1,17 +1,18 @@
 """Tensor-factored local operators and randomized theorem verification.
 
-Everything here is exact: random local operators have Gaussian-integer
-entries, so the matricization identity for locally transformed states and
-the rank-nonincrease checks are decided with no tolerance at all. apply_local
-and verify_theorem1 run one local-operator kernel on Gaussian-integer pairs
-under one common scale, so they take rational inputs too and do no
-ComplexRational arithmetic; verify_theorem1 builds no coefficient matrix.
+A local operator set F_1 x ... x F_n is one square ExactMatrix per site, in
+site order. Everything here is exact: random local operators have
+Gaussian-integer entries, so the matricization identity for locally
+transformed states and the rank-nonincrease checks are decided with no
+tolerance at all. apply_local and verify_theorem1 run one local-operator
+kernel on Gaussian-integer pairs under one common scale, so they take
+rational inputs too and do no ComplexRational arithmetic; verify_theorem1
+builds no coefficient matrix.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classifier import signature
@@ -25,57 +26,44 @@ class ZeroResultError(ZeroStateError):
     """A (singular) local operator set annihilated the state."""
 
 
-@dataclass(frozen=True)
-class LocalOperator:
-    site: int  # 1-based
-    matrix: ExactMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.matrix.cols:
-            raise ValueError("local operators must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-
 class LocalOperatorSet:
-    """One local operator per site, sites 1..n."""
+    """One square local operator F_q per site: the k-th matrix acts on site k."""
 
-    def __init__(self, operators: Sequence[LocalOperator]):
-        ops = sorted(operators, key=lambda op: op.site)
-        if [op.site for op in ops] != list(range(1, len(ops) + 1)):
-            raise ValueError("need exactly one operator per site 1..n")
-        self.operators = tuple(ops)
+    def __init__(self, matrices: Sequence[ExactMatrix]):
+        self.matrices = tuple(matrices)
+        for site, m in enumerate(self.matrices, 1):
+            if m.rows != m.cols:
+                raise ValueError(
+                    f"operator at site {site} is {m.rows}x{m.cols}, not square"
+                )
 
     def __iter__(self):
-        return iter(self.operators)
+        return iter(self.matrices)
 
     def __len__(self):
-        return len(self.operators)
+        return len(self.matrices)
 
-    def __getitem__(self, site: int) -> LocalOperator:
-        return self.operators[site - 1]
+    def __getitem__(self, site: int) -> ExactMatrix:
+        """The operator on site (1-based)."""
+        return self.matrices[site - 1]
 
     def check_dims(self, dims: Sequence[int]) -> None:
-        if len(self.operators) != len(dims):
+        if len(self.matrices) != len(dims):
             raise ValueError("operator count does not match number of sites")
-        for op, d in zip(self.operators, dims):
-            if op.dim != d:
+        for site, (m, d) in enumerate(zip(self.matrices, dims), 1):
+            if m.rows != d:
                 raise ValueError(
-                    f"operator at site {op.site} is {op.dim}x{op.dim}, "
+                    f"operator at site {site} is {m.rows}x{m.rows}, "
                     f"site dimension is {d}"
                 )
 
     @property
     def invertible(self) -> bool:
-        return all(not det_exact(op.matrix).is_zero() for op in self.operators)
+        return all(not det_exact(m).is_zero() for m in self.matrices)
 
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "LocalOperatorSet":
-        return cls(
-            [LocalOperator(k + 1, ExactMatrix.identity(d)) for k, d in enumerate(dims)]
-        )
+        return cls([ExactMatrix.identity(d) for d in dims])
 
 
 def _integer_form(state: QuditState, ops: LocalOperatorSet) -> Tuple[int, list, list]:
@@ -85,11 +73,11 @@ def _integer_form(state: QuditState, ops: LocalOperatorSet) -> Tuple[int, list, 
     ops.check_dims(state.dims)
     scale, pairs = gaussian_pairs(state.amplitudes.values())
     columns = []
-    for op in ops:
-        den, flat = gaussian_pairs([f for row in op.matrix.data for f in row])
+    for m in ops:
+        den, flat = gaussian_pairs([f for row in m.data for f in row])
         scale *= den
-        columns.append([[(t, a, b) for t, (a, b) in enumerate(flat[s::op.dim]) if a or b]
-                        for s in range(op.dim)])
+        columns.append([[(t, a, b) for t, (a, b) in enumerate(flat[s::m.rows]) if a or b]
+                        for s in range(m.rows)])
     return scale, pairs, columns
 
 
@@ -263,24 +251,17 @@ def random_local_possibly_singular(
 
 
 def random_ilo_set(dims: Sequence[int], rng: random.Random) -> LocalOperatorSet:
-    return LocalOperatorSet(
-        [LocalOperator(k + 1, random_ilo(d, rng=rng)) for k, d in enumerate(dims)]
-    )
+    return LocalOperatorSet([random_ilo(d, rng) for d in dims])
 
 
 def random_possibly_singular_set(
     dims: Sequence[int], rng: random.Random
 ) -> LocalOperatorSet:
-    ops = []
-    for k, d in enumerate(dims):
-        force = rng.random() < 0.5
-        ops.append(
-            LocalOperator(
-                k + 1,
-                random_local_possibly_singular(d, force_singular=force, rng=rng),
-            )
-        )
-    return LocalOperatorSet(ops)
+    # each site draws its force_singular coin before its matrix
+    return LocalOperatorSet(
+        [random_local_possibly_singular(d, rng, force_singular=rng.random() < 0.5)
+         for d in dims]
+    )
 
 
 def random_dims(

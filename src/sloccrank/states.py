@@ -280,12 +280,15 @@ def _int_array(value) -> list:
 
 
 def _parse_part(value):
-    """An int for an integer literal, else parse_rational (they agree on ints)."""
+    """parse_rational, with int() first for a plain integer literal; int()
+    also takes underscores and non-ASCII digits, which the grammar does not."""
     text = str(value).strip()
-    try:
-        return int(text)
-    except ValueError:
-        return parse_rational(text)
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return parse_rational(text)
 
 
 def state_from_json(obj) -> QuditState:

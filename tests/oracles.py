@@ -14,7 +14,7 @@ from itertools import product
 from sloccrank.linalg import ExactMatrix, kron_all
 from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational, ONE, ZERO
-from sloccrank.slocc import LocalOperator, LocalOperatorSet
+from sloccrank.slocc import LocalOperatorSet
 from sloccrank.states import QuditState, flat_index, multiindex_of
 
 # prime = 3 (mod 4), so x^2 = -1 has no root and GF(p^2) = GF(p)[i]
@@ -124,9 +124,7 @@ def invert_exact(m: ExactMatrix) -> ExactMatrix:
 
 def invert_ops(ops: LocalOperatorSet) -> LocalOperatorSet:
     """The local operator set of the inverses, site by site."""
-    return LocalOperatorSet(
-        [LocalOperator(op.site, invert_exact(op.matrix)) for op in ops]
-    )
+    return LocalOperatorSet([invert_exact(m) for m in ops])
 
 
 def partial_trace(state: QuditState, keep_sites) -> ExactMatrix:
@@ -201,8 +199,8 @@ def identity_dense(state: QuditState, ops: LocalOperatorSet, psi) -> bool:
     for l in range(1, n):
         for sigma in permutation_set(n, l):
             order = sigma.site_order(n)
-            row_factors = kron_all([ops[q].matrix for q in order[:l]])
-            col_factors = kron_all([ops[q].matrix for q in order[l:]])
+            row_factors = kron_all([ops[q] for q in order[:l]])
+            col_factors = kron_all([ops[q] for q in order[l:]])
             m_phi = coefficient_matrix(state, l, sigma).to_matrix()
             rhs = row_factors.matmul(m_phi).matmul(col_factors.transpose())
             if psi is None:

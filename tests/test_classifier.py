@@ -48,6 +48,14 @@ def test_signature_auto_split():
     assert sig.split == 2
 
 
+def test_signature_split_is_a_checked_int():
+    s = gen_ghz(3, 2)
+    assert type(signature(s, 1).split) is int
+    for l in (1.0, True, "1"):
+        with pytest.raises(TypeError):
+            signature(s, l)
+
+
 def test_signature_w4():
     assert signature(gen_w(4), 2).ranks == (2, 2, 2)
 

@@ -54,6 +54,16 @@ def test_rank_and_signature_verbs(tmp_path, capsys):
     assert "label=F{3,3,3}@{I,(1,3),(1,4)}" in out
 
 
+@pytest.mark.parametrize("sigma", ["(１,３)", "(1_0,3)", "(1,3)()"])
+def test_rank_rejects_a_malformed_sigma(tmp_path, capsys, sigma):
+    path = tmp_path / "ghz.json"
+    run(capsys, "gen", "--kind", "ghz", "--n", "4", "--out", str(path))
+    code, out, err = run(capsys, "rank", "--state", str(path), "--l", "2",
+                         "--sigma", sigma)
+    assert code == 2 and out == ""
+    assert f"error: cannot parse permutation {sigma!r}" in err
+
+
 def test_matrix_dump_format(tmp_path, capsys):
     path = tmp_path / "ghz.json"
     run(capsys, "gen", "--kind", "ghz", "--n", "3", "--d", "2",

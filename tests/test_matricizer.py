@@ -1,6 +1,7 @@
 """Matricization, permutation sets, reduced densities, split capacity."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -50,8 +51,10 @@ def test_permutation_rejects_unsorted_or_repeated():
 
 
 def test_permutation_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        QuditPermutation.parse("1,3")
+    # full-width and underscored digits, a trailing empty pair, half pairs
+    for bad in ("1,3", "(１,３)", "(1_0,3)", "(1,3)()", "(1,3", "(1,3)(2)", "((1,3))"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            QuditPermutation.parse(bad)
 
 
 # -- permutation sets -------------------------------------------------------
@@ -101,6 +104,12 @@ def test_permutation_set_split_bounds():
         permutation_set(4, 0)
     with pytest.raises(ValueError):
         permutation_set(4, 4)
+    # a split is an int: 1.5 used to matricize at l = 1
+    for l in (1.5, 2.0, True, "2"):
+        with pytest.raises(TypeError):
+            permutation_set(4, l)
+        with pytest.raises(TypeError):
+            coefficient_matrix(gen_ghz(4, 2), l)
 
 
 # -- coefficient matrices ---------------------------------------------------
@@ -303,6 +312,9 @@ def test_reduced_density_rejects_bad_subsets():
         reduced_density(s, [0])
     with pytest.raises(ValueError):
         reduced_density(s, [1, 1])
+    for sites in ([1.5], [True], [1, 2.0]):
+        with pytest.raises(TypeError):
+            reduced_density(s, sites)
 
 
 # -- split capacity ---------------------------------------------------------

@@ -134,13 +134,17 @@ def test_scalar_format_examples():
     )
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "1/0", "x/2"])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "1e3", "", "1/0", "x/2", "1_000", "1_0/3", "١٢", "３/4", "+-1", "1/+2"]
+)
 def test_rational_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
 
 
-@pytest.mark.parametrize("bad", ["1+2", "1", "+i", "1/2i", "1.0+0i"])
+@pytest.mark.parametrize(
+    "bad", ["1+2", "1", "+i", "1/2i", "1.0+0i", "1++2i", "1+-2i", "1_0+2i", "١+2i", "1+2i2i"]
+)
 def test_scalar_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

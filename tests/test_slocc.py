@@ -15,7 +15,6 @@ from sloccrank.linalg import ExactMatrix, det_exact, rank_exact
 from sloccrank.matricizer import CoefficientMatrix, QuditPermutation, permutation_set
 from sloccrank.scalars import ComplexRational, ZERO
 from sloccrank.slocc import (
-    LocalOperator,
     LocalOperatorSet,
     ZeroResultError,
     apply_local,
@@ -50,28 +49,24 @@ def dicts_equal(state, amp_map):
 # -- LocalOperatorSet -------------------------------------------------------
 
 def test_operator_set_validates_sites_and_dims():
-    ops = LocalOperatorSet(
-        [
-            LocalOperator(2, ExactMatrix.identity(3)),
-            LocalOperator(1, ExactMatrix.identity(2)),
-        ]
-    )
-    assert [op.site for op in ops] == [1, 2]
+    i2, i3 = ExactMatrix.identity(2), ExactMatrix.identity(3)
+    ops = LocalOperatorSet([i2, i3])
+    assert list(ops) == [i2, i3] and ops[1] == i2 and ops[2] == i3
     ops.check_dims((2, 3))
     with pytest.raises(ValueError):
         ops.check_dims((3, 2))
     with pytest.raises(ValueError):
-        LocalOperatorSet([LocalOperator(2, ExactMatrix.identity(2))])
-    with pytest.raises(ValueError):
-        LocalOperator(1, ExactMatrix.from_ints([[1, 2]]))
+        ops.check_dims((2, 3, 2))
+    with pytest.raises(ValueError, match="site 2"):
+        LocalOperatorSet([i2, ExactMatrix.from_ints([[1, 2]])])
 
 
 def test_operator_set_inverses():
     rng = random.Random(3)
     ops = random_ilo_set((2, 3), rng)
     inv = invert_ops(ops)
-    for op, iop in zip(ops, inv):
-        assert op.matrix.matmul(iop.matrix) == ExactMatrix.identity(op.dim)
+    for m, im in zip(ops, inv):
+        assert m.matmul(im) == ExactMatrix.identity(m.rows)
 
 
 # -- apply_local ------------------------------------------------------------
@@ -86,9 +81,7 @@ def test_apply_single_site_example():
     x = ExactMatrix.from_ints([[0, 1], [1, 0]])
     i2 = ExactMatrix.identity(2)
     s = QuditState((2, 2), {0: ComplexRational(1)})
-    out = apply_local(
-        s, LocalOperatorSet([LocalOperator(1, i2), LocalOperator(2, x)])
-    )
+    out = apply_local(s, LocalOperatorSet([i2, x]))
     assert out.amplitude((0, 1)) == ComplexRational(1)
     assert len(out.amplitudes) == 1
 
@@ -99,9 +92,7 @@ def test_apply_superposition_example():
     f = ExactMatrix.from_ints([[1, 1], [0, 0]])
     i2 = ExactMatrix.identity(2)
     s = gen_ghz(2, 2)
-    out = apply_local(
-        s, LocalOperatorSet([LocalOperator(1, f), LocalOperator(2, i2)])
-    )
+    out = apply_local(s, LocalOperatorSet([f, i2]))
     assert out.amplitude((0, 0)) == ComplexRational(1)
     assert out.amplitude((0, 1)) == ComplexRational(1)
     assert len(out.amplitudes) == 2
@@ -112,9 +103,7 @@ def test_apply_annihilation_raises():
     i2 = ExactMatrix.identity(2)
     s = QuditState((2, 2), {flat_index((1, 0), (2, 2)): ComplexRational(1)})
     with pytest.raises(ZeroResultError):
-        apply_local(
-            s, LocalOperatorSet([LocalOperator(1, zero_op), LocalOperator(2, i2)])
-        )
+        apply_local(s, LocalOperatorSet([zero_op, i2]))
 
 
 @given(st.integers(0, 10**6))
@@ -124,7 +113,7 @@ def test_apply_matches_dense_kron_oracle(seed):
     dims = random_dims(rng, max_sites=3, max_dim=3, max_total=27)
     s = random_sparse_state(dims, rng)
     ops = random_possibly_singular_set(dims, rng)
-    expected = apply_dense(s, [op.matrix for op in ops])
+    expected = apply_dense(s, list(ops))
     try:
         out = apply_local(s, ops)
     except ZeroResultError:
@@ -174,9 +163,7 @@ def test_identity_holds_when_ops_annihilate_the_state():
     p0 = ExactMatrix.from_ints([[1, 0], [0, 0]])
     i2 = ExactMatrix.identity(2)
     s = QuditState((2, 2, 2), {flat_index((1, 0, 1), (2, 2, 2)): ComplexRational(1)})
-    ops = LocalOperatorSet(
-        [LocalOperator(1, p0), LocalOperator(2, i2), LocalOperator(3, i2)]
-    )
+    ops = LocalOperatorSet([p0, i2, i2])
     with pytest.raises(ZeroResultError):
         apply_local(s, ops)
     assert verify_theorem1(s, ops)
@@ -187,7 +174,7 @@ def test_identity_drops_entries_that_cancel():
     # to zero, and |00> - |10> + |01> leaves only |01>
     f = ExactMatrix.from_ints([[1, 1], [0, 0]])
     i2 = ExactMatrix.identity(2)
-    ops = LocalOperatorSet([LocalOperator(1, f), LocalOperator(2, i2)])
+    ops = LocalOperatorSet([f, i2])
     one, minus = ComplexRational(1), ComplexRational(-1)
     dims = (2, 2)
     killed = QuditState(dims, {0: one, 2: minus})
@@ -222,7 +209,7 @@ def _annihilating_ops(state, rng):
         ]
     )
     rest = random_possibly_singular_set(state.dims, rng)
-    return LocalOperatorSet([LocalOperator(1, first)] + list(rest)[1:])
+    return LocalOperatorSet([first, *list(rest)[1:]])
 
 
 @given(st.integers(0, 10**6))
@@ -288,11 +275,10 @@ def test_rational_inputs_match_dense_oracles(seed, invert):
         ops = invert_ops(random_ilo_set(dims, rng))
     else:  # possibly singular, with halved entries
         ops = LocalOperatorSet(
-            [LocalOperator(op.site, ExactMatrix([[f / 2 for f in row]
-                                                 for row in op.matrix.data]))
-             for op in random_possibly_singular_set(dims, rng)]
+            [ExactMatrix([[f / 2 for f in row] for row in m.data])
+             for m in random_possibly_singular_set(dims, rng)]
         )
-    expected = apply_dense(s, [op.matrix for op in ops])
+    expected = apply_dense(s, list(ops))
     try:
         psi = apply_local(s, ops)
     except ZeroResultError:
@@ -301,8 +287,8 @@ def test_rational_inputs_match_dense_oracles(seed, invert):
     # every sum has a denominator dividing
     # K = lcm(state denominators) * prod over sites of lcm(entry denominators)
     big = lcm(*(v.d for v in s.amplitudes.values()))
-    for op in ops:
-        big *= lcm(*(f.d for row in op.matrix.data for f in row))
+    for m in ops:
+        big *= lcm(*(f.d for row in m.data for f in row))
     p = next(q for q in (5, 7, 11, 13, 17, 19, 23) if big % q)
     cases = [psi, random_sparse_state(dims, rng)]
     amps = dict((cases[1] if psi is None else psi).amplitudes)
@@ -370,9 +356,9 @@ def test_identity_detects_wrong_routing():
         m_phi = coefficient_matrix(s, 1, sigma).to_matrix()
         m_psi = coefficient_matrix(psi, 1, sigma).to_matrix()
         unrouted = (
-            kron_all([ops[1].matrix])
+            kron_all([ops[1]])
             .matmul(m_phi)
-            .matmul(kron_all([ops[2].matrix, ops[3].matrix]).transpose())
+            .matmul(kron_all([ops[2], ops[3]]).transpose())
         )
         if m_psi != unrouted:
             return  # mis-routing is observable, as it should be
@@ -392,9 +378,7 @@ def test_projector_collapses_ranks():
     p0 = ExactMatrix.from_ints([[1, 0], [0, 0]])
     i2 = ExactMatrix.identity(2)
     s = gen_ghz(3, 2)
-    ops = LocalOperatorSet(
-        [LocalOperator(1, p0), LocalOperator(2, i2), LocalOperator(3, i2)]
-    )
+    ops = LocalOperatorSet([p0, i2, i2])
     ok, pairs = check_monotone_nonincrease(s, ops)
     assert ok
     assert all(b == 2 and a == 1 for b, a in pairs.values())

@@ -1,12 +1,13 @@
 """State construction, indexing, permutation, generators and JSON I/O."""
 
 import json
+import re
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sloccrank.scalars import ComplexRational, parse_rational
 from sloccrank.states import (
@@ -14,6 +15,7 @@ from sloccrank.states import (
     QuditState,
     StateFormatError,
     ZeroStateError,
+    _parse_part,
     check_dims,
     flat_index,
     gen_dicke3,
@@ -353,11 +355,128 @@ def test_json_schema_rejections():
         state_from_json([1, 2])
 
 
+@pytest.mark.parametrize("part", ["1_000", "1_0/3", "١٢", "٣/4", "３", "1/0", "+-1"])
+def test_json_rejects_parts_outside_the_ascii_grammar(part):
+    for key in ("re", "im"):
+        doc = {"dims": [2, 2], "amplitudes": [{"index": [0, 0], key: part}]}
+        with pytest.raises(StateFormatError, match="malformed rational"):
+            state_from_json(doc)
+
+
+# -- fuzz: every mis-typed document is a StateFormatError -------------------
+
+_PART = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the documented p and p/q
+_NON_LIST = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NON_INT = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_BAD_PART = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from(["1/0", "1_0", "1_0/3", "١٢", "３", "1.5", "1e3", "0x1", "1/", "1+2i"]),
+    st.text(max_size=6).filter(lambda t: not _PART.fullmatch(t.strip())),
+)
+_PARTS = st.one_of(st.sampled_from(["0", "1", "-2", "+3", "1/3", " 4 "]), st.integers(-3, 3))
+
+
+@st.composite
+def _documents(draw):
+    """A well-formed state document ("re" and "im" each optional)."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    digits = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    amplitudes = []
+    for index in draw(st.lists(digits, min_size=1, max_size=3, unique=True)):
+        entry = {"index": list(index)}
+        for key in draw(st.sets(st.sampled_from(["re", "im"]))):
+            entry[key] = draw(_PARTS)
+        amplitudes.append(entry)
+    return {"dims": dims, "amplitudes": amplitudes}
+
+
+def _spoiled(items, bad):
+    """items with one element replaced by, or one more element, from bad."""
+    return st.tuples(st.integers(0, len(items)), st.integers(0, 1), bad).map(
+        lambda t: items[:t[0]] + [t[2]] + items[t[0] + t[1]:]
+    )
+
+
+@st.composite
+def _mistyped_documents(draw):
+    """A well-formed document with one defect."""
+    doc = draw(_documents())
+    entry = draw(st.sampled_from(doc["amplitudes"]))
+    kind = draw(st.sampled_from(
+        ["dims", "amplitudes", "index", "part", "unknown", "missing", "duplicate"]
+    ))
+    if kind == "dims":
+        doc["dims"] = draw(st.one_of(
+            _NON_LIST,
+            st.just(doc["dims"][:1]),
+            _spoiled(doc["dims"], st.one_of(_NON_INT, st.integers(max_value=1))),
+        ))
+    elif kind == "amplitudes":
+        doc["amplitudes"] = draw(st.one_of(_NON_LIST, _spoiled(doc["amplitudes"], _NON_INT)))
+    elif kind == "index":
+        index = entry["index"]
+        k = draw(st.integers(0, len(index) - 1))
+        out_of_range = st.one_of(
+            st.integers(max_value=-1), st.integers(doc["dims"][k], doc["dims"][k] + 5)
+        )
+        entry["index"] = draw(st.one_of(
+            _NON_LIST,
+            st.just(index[1:]),
+            st.just(index + [0]),
+            st.one_of(_NON_INT, out_of_range).map(lambda x: index[:k] + [x] + index[k + 1:]),
+        ))
+    elif kind == "part":
+        entry[draw(st.sampled_from(["re", "im"]))] = draw(_BAD_PART)
+    elif kind == "unknown":
+        target, known = draw(st.sampled_from(
+            [(doc, {"dims", "amplitudes"}), (entry, {"index", "re", "im"})]
+        ))
+        target[draw(st.text(max_size=5).filter(lambda key: key not in known))] = 0
+    elif kind == "missing":
+        target, key = draw(st.sampled_from(
+            [(doc, "dims"), (doc, "amplitudes"), (entry, "index")]
+        ))
+        del target[key]
+    else:
+        doc["amplitudes"].append(dict(entry))
+    return doc
+
+
+@given(_documents())
+@settings(max_examples=100, deadline=None)
+def test_well_formed_documents_parse_or_are_the_zero_state(doc):
+    try:
+        state = state_from_json(doc)
+    except ZeroStateError:
+        state = None
+    all_zero = all(
+        e.get(k, "0") in ("0", 0) for e in doc["amplitudes"] for k in ("re", "im")
+    )
+    assert (state is None) == all_zero
+
+
+@given(_mistyped_documents())
+@settings(max_examples=400, deadline=None)
+def test_mistyped_documents_raise_state_format_error(doc):
+    with pytest.raises(StateFormatError):
+        state_from_json(json.loads(json.dumps(doc)))
+
+
 @pytest.mark.parametrize(
-    "text", ["1_000", "+3", " 3 ", "-0", "0x1", "3.0", "1e3", "0b1", "00", "", "-"]
+    "text",
+    ["1_000", "+3", " 3 ", "-0", "0x1", "3.0", "1e3", "0b1", "00", "", "-", "١٢", "３"],
 )
 def test_integer_literal_parse_agrees_with_parse_rational(text):
-    # state_from_json tries int() before parse_rational; both must agree
+    # state_from_json tries int() on plain ASCII literals before
+    # parse_rational; both routes must agree
     def outcome(parse):
         try:
             return parse(text.strip())
@@ -365,7 +484,7 @@ def test_integer_literal_parse_agrees_with_parse_rational(text):
             return "rejected"
 
     value = outcome(parse_rational)
-    assert outcome(int) == value
+    assert outcome(_parse_part) == value
     doc = {"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": text, "im": "1"}]}
     if value == "rejected":
         with pytest.raises(StateFormatError, match="malformed rational"):
