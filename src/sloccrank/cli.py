@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .classifier import (
@@ -42,8 +43,16 @@ from .states import (
 )
 
 
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits, nothing else; int() alone would
+    also take "1_0" and non-ASCII digits such as "２"."""
+    if not re.fullmatch("[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def _parse_dims(text: str):
-    return check_dims(int(x) for x in text.split(","))
+    return check_dims(_integer(x) for x in text.split(","))
 
 
 def _write(text: str, path) -> None:
@@ -57,7 +66,7 @@ def _write(text: str, path) -> None:
 def _resolve_split(state, l_text: str) -> int:
     if l_text == "auto":
         return optimal_split(state.dims)
-    return int(l_text)
+    return _integer(l_text)
 
 
 def _cmd_gen(args) -> int:
@@ -176,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a canonical state as JSON")
     p.add_argument("--kind", required=True, choices=["ghz", "w", "dicke3", "dicke4"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2, help="local dimension (ghz)")
-    p.add_argument("--l1", type=int, default=0)
-    p.add_argument("--l2", type=int, default=0)
-    p.add_argument("--l3", type=int, default=0)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, default=2, help="local dimension (ghz)")
+    p.add_argument("--l1", type=_integer, default=0)
+    p.add_argument("--l2", type=_integer, default=0)
+    p.add_argument("--l3", type=_integer, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
@@ -218,15 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized theorem verification")
     p.add_argument("which", choices=["theorem1", "monotone"])
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_integer, default=200)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--dims", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scan", help="Dicke occupation scan (figure CSVs)")
-    p.add_argument("--levels", type=int, required=True, choices=[3, 4])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--levels", type=_integer, required=True, choices=[3, 4])
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_scan)
 

@@ -36,7 +36,9 @@ class QuditPermutation:
     transpositions: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        ts = tuple((int(r), int(c)) for r, c in self.transpositions)
+        ts = tuple((r, c) for r, c in self.transpositions)
+        if any(type(q) is not int for t in ts for q in t):  # no float, bool or str
+            raise TypeError(f"transposition sites must be ints: {ts}")
         object.__setattr__(self, "transpositions", ts)
         rows = [r for r, _ in ts]
         cols = [c for _, c in ts]
@@ -99,12 +101,11 @@ class PermutationSet:
         return tuple(s.label() for s in self.sigmas)
 
 
-def _check_split(n: int, l: int) -> int:
+def _check_split(n: int, l: int) -> None:
     if type(l) is not int:  # no float, bool or str
         raise TypeError(f"split l={l!r} is not an int")
     if not 1 <= l <= n - 1:
         raise ValueError(f"split l={l} out of range [1, {n - 1}]")
-    return l
 
 
 def _sigmas_general(n: int, l: int) -> List[QuditPermutation]:
@@ -125,7 +126,7 @@ def permutation_set(n: int, l: int) -> PermutationSet:
 
     For l = 1 this is the single-site family sigma_k = (1, k+1), k = 0..n-1.
     """
-    l = _check_split(n, l)
+    _check_split(n, l)
     if l == 1:
         sigmas = [QuditPermutation(())]
         sigmas += [QuditPermutation(((1, j),)) for j in range(2, n + 1)]
@@ -185,7 +186,7 @@ def coefficient_matrix(
 ) -> CoefficientMatrix:
     """Coefficient matrix of the state under split l and permutation sigma."""
     n = state.n
-    l = _check_split(n, l)
+    _check_split(n, l)
     for r, c in sigma.transpositions:
         if not (1 <= r <= l and l < c <= n):
             raise ValueError(
@@ -211,7 +212,7 @@ def symmetric_matrix(
     so the full matrix has the rank of M[a, b] = coeffs[a + b]: rows are the
     size-l tuples a <= some c, columns the size-(n-l) b <= some c, lex order.
     """
-    l = _check_split(n, l)
+    _check_split(n, l)
     if any(sum(c) != n for c in coeffs):
         raise ValueError(f"every occupation tuple must sum to n={n}")
     rows = sorted({a for c in coeffs for a in _sub_occupations(c, l)})
@@ -258,7 +259,7 @@ def split_capacity(dims: Sequence[int], l: int) -> int:
     """
     dims = check_dims(dims)
     n = len(dims)
-    l = _check_split(n, l)
+    _check_split(n, l)
     l_star = min(l, n - l)
     sorted_dims = tuple(sorted(dims, reverse=True))
     p = 1

@@ -44,7 +44,10 @@ class LocalOperatorSet:
         return len(self.matrices)
 
     def __getitem__(self, site: int) -> ExactMatrix:
-        """The operator on site (1-based)."""
+        """The operator on site, an int in 1..n; nothing wraps."""
+        n = len(self.matrices)
+        if type(site) is not int or not 1 <= site <= n:
+            raise IndexError(f"site {site!r} is not an int in [1, {n}]")
         return self.matrices[site - 1]
 
     def check_dims(self, dims: Sequence[int]) -> None:

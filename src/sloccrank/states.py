@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .scalars import ComplexRational, format_rational, parse_rational
+from .scalars import ZERO, ComplexRational, format_rational, parse_rational
 
 Dims = Tuple[int, ...]
 MultiIndex = Tuple[int, ...]
@@ -35,7 +35,9 @@ class StateFormatError(ValueError):
 
 
 def check_dims(dims: Sequence[int]) -> Dims:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
+    if any(type(d) is not int for d in dims):  # no float, bool or str
+        raise TypeError(f"dims must be ints, got {dims}")
     if len(dims) < 2:
         raise ValueError(f"need at least 2 sites, got dims={dims}")
     if any(d < 2 for d in dims):
@@ -52,23 +54,26 @@ def total_dim(dims: Sequence[int]) -> int:
 
 def flat_index(digits: Sequence[int], dims: Sequence[int]) -> int:
     """Lexicographic (big-endian mixed radix) flat index of a multi-index."""
+    i = 0
+    for s, d in zip(digits, dims):
+        if type(s) is not int:  # no float, bool or str
+            raise TypeError(f"multi-index {digits!r} is not an array of integers")
+        if not 0 <= s < d:
+            raise InvalidIndexError(f"digit {s} out of range for dimension {d}")
+        i = i * d + s
+    # counted after the digits are read, so a str or float is a TypeError
     if len(digits) != len(dims):
         raise InvalidIndexError(
             f"multi-index length {len(digits)} != number of sites {len(dims)}"
         )
-    i = 0
-    for s, d in zip(digits, dims):
-        if not 0 <= s < d:
-            raise InvalidIndexError(f"digit {s} out of range for dimension {d}")
-        i = i * d + s
     return i
 
 
 def multiindex_of(i: int, dims: Sequence[int]) -> MultiIndex:
     """Inverse of flat_index."""
     D = total_dim(dims)
-    if not 0 <= i < D:
-        raise InvalidIndexError(f"flat index {i} out of range [0, {D})")
+    if type(i) is not int or not 0 <= i < D:  # no float, bool or str
+        raise InvalidIndexError(f"flat index {i!r} is not an int in [0, {D})")
     digits = []
     for d in reversed(dims):
         digits.append(i % d)
@@ -108,10 +113,8 @@ class QuditState:
         return len(self.dims)
 
     def amplitude(self, index) -> ComplexRational:
-        """Amplitude at a flat index or multi-index (zero if absent)."""
-        from .scalars import ZERO
-
-        if not isinstance(index, int):
+        """Amplitude at a flat index (an int) or a multi-index (zero if absent)."""
+        if type(index) is not int:  # a bool is not a flat index
             index = flat_index(index, self.dims)
         return self.amplitudes.get(index, ZERO)
 
@@ -170,7 +173,9 @@ def permute_qudits(state: QuditState, perm: Sequence[int]) -> QuditState:
     its digits. Applying the inverse permutation restores the input exactly.
     """
     n = state.n
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(perm)
+    if any(type(p) is not int for p in perm):  # no float, bool or str
+        raise TypeError(f"perm {perm} must hold int sites")
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm {perm} is not a permutation of 1..{n}")
     amps = state.amplitudes
@@ -272,13 +277,6 @@ def state_to_json(state: QuditState) -> dict:
     }
 
 
-def _int_array(value) -> list:
-    """A JSON array of integers; floats and booleans do not count as integers."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise TypeError(f"expected an array of integers, got {value!r}")
-    return value
-
-
 def _parse_part(value):
     """parse_rational, with int() first for a plain integer literal; int()
     also takes underscores and non-ASCII digits, which the grammar does not."""
@@ -306,7 +304,7 @@ def state_from_json(obj) -> QuditState:
     if "dims" not in obj or "amplitudes" not in obj:
         raise StateFormatError("state document needs 'dims' and 'amplitudes'")
     try:
-        dims = check_dims(_int_array(obj["dims"]))
+        dims = check_dims(obj["dims"])
     except (TypeError, ValueError) as exc:
         raise StateFormatError(f"bad dims: {exc}") from exc
     if not isinstance(obj["amplitudes"], list):
@@ -323,7 +321,7 @@ def state_from_json(obj) -> QuditState:
         if "index" not in entry:
             raise StateFormatError(f"amplitude #{pos}: missing 'index'")
         try:
-            i = flat_index(_int_array(entry["index"]), dims)
+            i = flat_index(entry["index"], dims)
         except (InvalidIndexError, TypeError) as exc:
             raise StateFormatError(f"amplitude #{pos}: {exc}") from exc
         if i in amps:

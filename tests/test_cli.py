@@ -64,6 +64,37 @@ def test_rank_rejects_a_malformed_sigma(tmp_path, capsys, sigma):
     assert f"error: cannot parse permutation {sigma!r}" in err
 
 
+@pytest.mark.parametrize("dims", ["２,2,1_0", "2,2,1_0", "2,٣", "2,2.0"])
+def test_capacity_rejects_integers_outside_the_ascii_grammar(capsys, dims):
+    code, out, err = run(capsys, "capacity", "--dims", dims)
+    assert code == 2 and out == ""
+    assert "error: malformed integer" in err
+
+
+@pytest.mark.parametrize("verb", ["signature", "rank", "matrix"])
+@pytest.mark.parametrize("l", ["２", "1_0", "2.0"])
+def test_split_rejects_integers_outside_the_ascii_grammar(tmp_path, capsys, verb, l):
+    path = tmp_path / "ghz.json"
+    run(capsys, "gen", "--kind", "ghz", "--n", "4", "--out", str(path))
+    code, out, err = run(capsys, verb, "--state", str(path), "--l", l)
+    assert code == 2 and out == ""
+    assert f"error: malformed integer {l!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "ghz", "--n", "３"],
+    ["gen", "--kind", "ghz", "--n", "3", "--d", "1_0"],
+    ["verify", "theorem1", "--trials", "２", "--seed", "1"],
+    ["verify", "theorem1", "--trials", "2", "--seed", "1_0"],
+    ["scan", "--levels", "３", "--n", "4"],
+])
+def test_integer_options_reject_integers_outside_the_ascii_grammar(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_matrix_dump_format(tmp_path, capsys):
     path = tmp_path / "ghz.json"
     run(capsys, "gen", "--kind", "ghz", "--n", "3", "--d", "2",
