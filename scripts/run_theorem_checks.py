@@ -14,15 +14,15 @@ from sloccrank.cli import main
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=20260823)
+    parser.add_argument("--trials", default="200")
+    parser.add_argument("--seed", default="20260823")
     parser.add_argument("--outdir", default=None,
                         help="write JSON-lines records here instead of stdout")
     args = parser.parse_args()
     rc = 0
     for which in ("theorem1", "monotone"):
-        argv = ["verify", which, "--trials", str(args.trials),
-                "--seed", str(args.seed)]
+        argv = ["verify", which, "--trials", args.trials,
+                "--seed", args.seed]
         if args.outdir:
             outdir = pathlib.Path(args.outdir)
             outdir.mkdir(parents=True, exist_ok=True)

