@@ -28,13 +28,16 @@ from .states import QuditState, flat_index
 
 @dataclass(frozen=True)
 class RankSignature:
-    split: int
     sigma_set: PermutationSet
     ranks: Tuple[int, ...]
 
     def __post_init__(self):
         if len(self.ranks) != len(self.sigma_set):
             raise ValueError("one rank per permutation required")
+
+    @property
+    def split(self) -> int:
+        return self.sigma_set.l
 
 
 def signature(state: QuditState, l: Union[int, str] = "auto") -> RankSignature:
@@ -46,7 +49,7 @@ def signature(state: QuditState, l: Union[int, str] = "auto") -> RankSignature:
         rank_exact(coefficient_matrix(state, l, sigma).support()).rank
         for sigma in pset
     )
-    return RankSignature(pset.l, pset, ranks)
+    return RankSignature(pset, ranks)
 
 
 def family_label(sig: RankSignature) -> str:
@@ -60,8 +63,9 @@ def classify(
     states: Sequence[QuditState],
     l: Union[int, str] = "auto",
     ids: Optional[Sequence[str]] = None,
-) -> Dict[str, List[str]]:
-    """Group states (same dims required) by exact signature equality."""
+) -> Dict[RankSignature, List[str]]:
+    """Group states (same dims required) by exact signature equality, in
+    family_label order."""
     if not states:
         return {}
     dims = states[0].dims
@@ -71,10 +75,10 @@ def classify(
         ids = [f"s{k}" for k in range(len(states))]
     if len(ids) != len(states):
         raise ValueError("one id per state required")
-    groups: Dict[str, List[str]] = {}
+    groups: Dict[RankSignature, List[str]] = {}
     for sid, state in zip(ids, states):
-        groups.setdefault(family_label(signature(state, l)), []).append(sid)
-    return dict(sorted(groups.items()))
+        groups.setdefault(signature(state, l), []).append(sid)
+    return dict(sorted(groups.items(), key=lambda kv: family_label(kv[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +130,7 @@ def table1_suite() -> List[Tuple[str, QuditState, str]]:
     for name, triple, kets in _TABLE1:
         amps = {flat_index(ket, _DIMS_2224): ONE for ket in kets}
         state = QuditState(_DIMS_2224, amps)
-        expected = family_label(RankSignature(2, pset, triple))
+        expected = family_label(RankSignature(pset, triple))
         out.append((name, state, expected))
     return out
 
@@ -140,7 +144,6 @@ class ScanRow:
     occupations: Tuple[int, ...]  # (l0, l1, l2[, l3])
     variance: Fraction
     ranks: Tuple[int, ...]
-    label: str
 
 
 _SCAN_LIMITS = {3: 14, 4: 12}
@@ -171,15 +174,11 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
         )
     l = n // 2
     pset = permutation_set(n, l)
-    by_rank: Dict[int, Tuple[Tuple[int, ...], str]] = {}  # rank -> (ranks, label)
     rows: List[ScanRow] = []
     for occ in _occupation_tuples(levels, n):
         counts = (n - sum(occ),) + occ
         r = rank_exact(symmetric_matrix(n, l, {counts: ONE})).rank
-        if r not in by_rank:
-            ranks = (r,) * len(pset)
-            by_rank[r] = ranks, family_label(RankSignature(l, pset, ranks))
-        rows.append(ScanRow(counts, _occupation_variance(counts), *by_rank[r]))
+        rows.append(ScanRow(counts, _occupation_variance(counts), (r,) * len(pset)))
     return pset, rows
 
 
@@ -194,35 +193,30 @@ def _occupation_tuples(levels: int, n: int):
 
 def scan_to_csv(levels: int, pset: PermutationSet, rows: Sequence[ScanRow]) -> str:
     out = io.StringIO()
-    occ_cols = ["l0", "l1", "l2"] + (["l3"] if levels == 4 else [])
+    occ_cols = [f"l{k}" for k in range(levels)]
     rank_cols = [f"rank_sigma{k}" for k in range(len(pset))]
-    out.write(
-        "# columns: "
-        + ",".join(occ_cols + ["variance"] + rank_cols + ["family_label"])
-        + "\n"
-    )
-    out.write(f"# sigma order: {';'.join(pset.labels())}\n")
-    out.write(",".join(occ_cols + ["variance"] + rank_cols + ["family_label"]) + "\n")
-    tails: Dict[Tuple[Tuple[int, ...], str], str] = {}  # formatted once each
+    header = ",".join(occ_cols + ["variance"] + rank_cols + ["family_label"])
+    out.write(f"# columns: {header}\n# sigma order: {';'.join(pset.labels())}\n")
+    out.write(header + "\n")
+    tails: Dict[Tuple[int, ...], str] = {}  # ranks -> formatted tail, label built once
     for row in rows:
-        tail = tails.get((row.ranks, row.label))
+        tail = tails.get(row.ranks)
         if tail is None:
-            tail = ",".join(map(str, row.ranks)) + f',"{row.label}"'
-            tails[row.ranks, row.label] = tail
+            label = family_label(RankSignature(pset, row.ranks))
+            tail = tails[row.ranks] = ",".join(map(str, row.ranks)) + f',"{label}"'
         occ = ",".join(map(str, row.occupations))
         out.write(f"{occ},{float(row.variance)},{tail}\n")
     return out.getvalue()
 
 
-def classify_to_csv(
-    groups: Dict[str, List[str]], l: int, pset: PermutationSet
-) -> str:
+def classify_to_csv(groups: Dict[RankSignature, List[str]]) -> str:
     out = io.StringIO()
     out.write("# columns: state_id,l,sigma_list,ranks,family_label\n")
-    sigma_list = ";".join(pset.labels())
     out.write("state_id,l,sigma_list,ranks,family_label\n")
-    for label, sids in groups.items():
-        ranks = label[label.index("{") + 1 : label.index("}")]
+    for sig, sids in groups.items():
+        sigma_list = ";".join(sig.sigma_set.labels())
+        ranks = ",".join(map(str, sig.ranks))
+        label = family_label(sig)
         for sid in sids:
-            out.write(f'{sid},{l},"{sigma_list}","{ranks}","{label}"\n')
+            out.write(f'{sid},{sig.split},"{sigma_list}","{ranks}","{label}"\n')
     return out.getvalue()

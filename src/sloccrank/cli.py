@@ -27,7 +27,6 @@ from .matricizer import (
     QuditPermutation,
     coefficient_matrix,
     optimal_split,
-    permutation_set,
     split_capacity,
 )
 from .scalars import format_scalar
@@ -88,10 +87,10 @@ def _cmd_rank(args) -> int:
     sigma = QuditPermutation.parse(args.sigma)
     cm = coefficient_matrix(state, l, sigma)
     if args.numeric:
-        result = rank_numeric(cm.to_matrix())
+        method, result = "numeric", rank_numeric(cm.to_matrix())
     else:
-        result = rank_exact(cm.support())
-    print(f"rank={result.rank} method={result.method} l={l} sigma={sigma.label()}")
+        method, result = "exact", rank_exact(cm.support())
+    print(f"rank={result.rank} method={method} l={l} sigma={sigma.label()}")
     return 0
 
 
@@ -109,9 +108,7 @@ def _cmd_signature(args) -> int:
 def _cmd_classify(args) -> int:
     states = [load_state(p) for p in args.states]
     l = _resolve_split(states[0], args.l)
-    groups = classify(states, l, ids=list(args.states))
-    pset = permutation_set(states[0].n, l)
-    _write(classify_to_csv(groups, l, pset), args.out)
+    _write(classify_to_csv(classify(states, l, ids=list(args.states))), args.out)
     return 0
 
 

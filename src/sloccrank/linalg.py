@@ -117,7 +117,6 @@ def kron_all(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 @dataclass(frozen=True)
 class RankResult:
     rank: int
-    method: str  # "exact" | "numeric"
     pivots: Tuple[Tuple[int, int], ...] = ()
 
 
@@ -252,7 +251,7 @@ def rank_exact(m: ExactMatrix) -> RankResult:
     pivots = _full_rank_mod_p(m) if min(m.rows, m.cols) > 2 else None
     if pivots is None:
         pivots = _bareiss_rank([gaussian_pairs(row)[1] for row in m.data])[1]
-    return RankResult(len(pivots), "exact", tuple(pivots))
+    return RankResult(len(pivots), tuple(pivots))
 
 
 SVD_SAFETY = 100.0  # threshold factor of the numeric cross-check
@@ -266,9 +265,9 @@ def rank_numeric(m: ExactMatrix) -> RankResult:
         raise ValueError(f"entries too large for float conversion: {exc}") from exc
     s = np.linalg.svd(arr, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
-        return RankResult(0, "numeric", ())
+        return RankResult(0)
     thresh = s[0] * max(m.rows, m.cols) * np.finfo(float).eps * SVD_SAFETY
-    return RankResult(int(np.sum(s > thresh)), "numeric", ())
+    return RankResult(int(np.sum(s > thresh)))
 
 
 def det_exact(m: ExactMatrix) -> ComplexRational:

@@ -270,11 +270,11 @@ def split_capacity(dims: Sequence[int], l: int) -> int:
 
 
 def optimal_split(dims: Sequence[int]) -> int:
-    """The l maximizing split_capacity; ties broken by the smallest l."""
+    """The l maximizing split_capacity, ties to the smallest; capacity(l) =
+    capacity(n - l), so only l <= n // 2 is tried."""
     dims = check_dims(dims)
-    n = len(dims)
     best_l, best_p = 1, split_capacity(dims, 1)
-    for l in range(2, n):
+    for l in range(2, len(dims) // 2 + 1):
         p = split_capacity(dims, l)
         if p > best_p:
             best_l, best_p = l, p

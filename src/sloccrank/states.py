@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from types import MappingProxyType
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .scalars import ZERO, ComplexRational, format_rational, parse_rational
@@ -102,7 +103,7 @@ class QuditState:
         if not amps:
             raise ZeroStateError("state has no nonzero amplitude")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", MappingProxyType(amps))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuditState is immutable")

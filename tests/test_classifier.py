@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import sloccrank.classifier
 import sloccrank.linalg
 import sloccrank.matricizer
 from sloccrank.classifier import (
@@ -63,7 +64,16 @@ def test_signature_w4():
 def test_signature_rejects_mismatched_ranks():
     pset = permutation_set(4, 2)
     with pytest.raises(ValueError):
-        RankSignature(2, pset, (1, 2))
+        RankSignature(pset, (1, 2))
+
+
+@pytest.mark.parametrize("n,l", [(4, 2), (5, 1), (6, 3)])
+def test_signature_split_is_its_sigma_sets_split(n, l):
+    pset = permutation_set(n, l)
+    sig = RankSignature(pset, (1,) * len(pset))
+    assert sig.split == pset.l == l
+    with pytest.raises(AttributeError):
+        sig.split = l + 1
 
 
 def test_signature_invariant_under_invertible_ops():
@@ -93,10 +103,15 @@ def test_signature_drops_zero_and_repeated_lines_once_per_sigma(monkeypatch):
 def test_classify_groups_equal_signatures():
     states = [gen_ghz(4, 2), gen_w(4), QuditState((2,) * 4, {0: ComplexRational(1)})]
     groups = classify(states, 2, ids=["ghz", "w", "product"])
+    pset = permutation_set(4, 2)
     assert groups == {
-        "F{1,1,1}@{I,(1,3),(1,4)}": ["product"],
-        "F{2,2,2}@{I,(1,3),(1,4)}": ["ghz", "w"],
+        RankSignature(pset, (1, 1, 1)): ["product"],
+        RankSignature(pset, (2, 2, 2)): ["ghz", "w"],
     }
+    assert [family_label(sig) for sig in groups] == [
+        "F{1,1,1}@{I,(1,3),(1,4)}",
+        "F{2,2,2}@{I,(1,3),(1,4)}",
+    ]
 
 
 def test_classify_validation():
@@ -109,7 +124,7 @@ def test_classify_validation():
 
 def test_classify_csv_shape():
     groups = classify([gen_ghz(4, 2), gen_w(4)], 2, ids=["g", "w"])
-    csv = classify_to_csv(groups, 2, permutation_set(4, 2))
+    csv = classify_to_csv(groups)
     lines = csv.strip().splitlines()
     assert lines[1] == "state_id,l,sigma_list,ranks,family_label"
     assert 'g,2,"I;(1,3);(1,4)","2,2,2","F{2,2,2}@{I,(1,3),(1,4)}"' in lines
@@ -278,18 +293,31 @@ def test_scan_csv_formats_each_ranks_and_label_pair():
     pset = permutation_set(4, 2)
     same = (2, 2, 2)
     rows = [
-        ScanRow((1, 2, 1), Fraction(1, 6), same, "F{2,2,2}"),
-        ScanRow((2, 1, 1), Fraction(1, 6), same, "F{2,2,2}_b"),
-        ScanRow((2, 2, 0), Fraction(4, 3), (1, 2, 3), "F{1,2,3}"),
-        ScanRow((4, 0, 0), Fraction(8, 3), same, "F{2,2,2}"),
+        ScanRow((1, 2, 1), Fraction(1, 6), same),
+        ScanRow((2, 2, 0), Fraction(4, 3), (1, 2, 3)),
+        ScanRow((4, 0, 0), Fraction(8, 3), same),
     ]
     body = scan_to_csv(3, pset, rows).splitlines()[3:]
     assert body == [
-        '1,2,1,0.16666666666666666,2,2,2,"F{2,2,2}"',
-        '2,1,1,0.16666666666666666,2,2,2,"F{2,2,2}_b"',
-        '2,2,0,1.3333333333333333,1,2,3,"F{1,2,3}"',
-        '4,0,0,2.6666666666666665,2,2,2,"F{2,2,2}"',
+        '1,2,1,0.16666666666666666,2,2,2,"F{2,2,2}@{I,(1,3),(1,4)}"',
+        '2,2,0,1.3333333333333333,1,2,3,"F{1,2,3}@{I,(1,3),(1,4)}"',
+        '4,0,0,2.6666666666666665,2,2,2,"F{2,2,2}@{I,(1,3),(1,4)}"',
     ]
+
+
+def test_scan_csv_builds_one_label_per_distinct_ranks(monkeypatch):
+    pset, rows = dicke_scan(3, 9)
+    labelled = []
+
+    def counting(sig):
+        labelled.append(sig.ranks)
+        return family_label(sig)
+
+    monkeypatch.setattr(sloccrank.classifier, "family_label", counting)
+    csv = scan_to_csv(3, pset, rows)
+    assert sorted(labelled) == sorted({row.ranks for row in rows})
+    assert len(labelled) < len(rows)
+    assert hashlib.sha256(csv.encode()).hexdigest() == _FIGURE_CSV_SHA256[3, 9]
 
 
 def test_scan_csv_levels4_has_l3_column():

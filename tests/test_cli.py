@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import hashlib
 import json
 import runpy
 import sys
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from sloccrank.classifier import table1_suite
 from sloccrank.cli import main
-from sloccrank.states import load_state
+from sloccrank.states import load_state, save_state
 
 
 def run(capsys, *argv):
@@ -173,6 +175,20 @@ def test_classify_verb(tmp_path, capsys):
     text = out_path.read_text()
     assert "F{2,2,2}@{I,(1,3),(1,4)}" in text
     assert str(a) in text and str(b) in text
+
+
+def test_classify_csv_of_the_reference_table_is_pinned(tmp_path, monkeypatch, capsys):
+    # the 24 representatives saved as <name>.json, classified at l = 2
+    monkeypatch.chdir(tmp_path)
+    paths = []
+    for name, state, _ in table1_suite():
+        save_state(state, f"{name}.json")
+        paths.append(f"{name}.json")
+    code, out, _ = run(capsys, "classify", "--l", "2", "--states", *paths)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "17067da4dd9466ab4f905f5268da1624e439dec525027f809cb148944f69795e"
+    )
 
 
 def test_verify_requires_seed(capsys):

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sloccrank.matricizer
 from sloccrank.linalg import ExactMatrix, rank_exact
 from sloccrank.matricizer import (
     QuditPermutation,
@@ -343,6 +344,22 @@ def test_capacity_mirror_symmetry():
     n = len(dims)
     for l in range(1, n):
         assert split_capacity(dims, l) == split_capacity(dims, n - l)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_optimal_split_tries_only_the_lower_half(monkeypatch, n):
+    # capacity(l) = capacity(n - l) and ties go to the smallest l
+    calls = []
+
+    def counting(dims, l):
+        calls.append(l)
+        return split_capacity(dims, l)
+
+    monkeypatch.setattr(sloccrank.matricizer, "split_capacity", counting)
+    dims = (2, 3, 4, 2, 3, 2, 2)[:n]
+    every_l = max(range(1, n), key=lambda l: (split_capacity(dims, l), -l))
+    assert optimal_split(dims) == every_l
+    assert calls == list(range(1, n // 2 + 1))
 
 
 def test_capacity_two_sites():

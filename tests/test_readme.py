@@ -1,5 +1,5 @@
 """The README's examples stay true: its library tour prints what its comments
-say, and every CLI line it shows parses."""
+say, and its CLI lines parse and, run in order, succeed."""
 
 import contextlib
 import io
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sloccrank.cli import build_parser
+from sloccrank.cli import build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -53,3 +53,11 @@ def test_readme_shows_every_verb():
 def test_cli_line_parses(line):
     args = build_parser().parse_args(shlex.split(line)[1:])
     assert callable(args.func)
+
+
+def test_cli_lines_run_in_order(tmp_path, monkeypatch, capsys):
+    # each line may read what an earlier line wrote
+    monkeypatch.chdir(tmp_path)
+    for line in CLI_LINES:
+        code = main(shlex.split(line)[1:])
+        assert code == 0, (line, capsys.readouterr().err)

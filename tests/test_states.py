@@ -129,6 +129,19 @@ def test_state_is_immutable():
         s.dims = (3, 3)
 
 
+def test_state_amplitudes_are_read_only():
+    s = gen_ghz(2, 2)
+    with pytest.raises(TypeError):
+        s.amplitudes[1] = ComplexRational(0)
+    with pytest.raises(TypeError):
+        del s.amplitudes[0]
+    amps = {0: ComplexRational(1)}
+    t = QuditState((2, 2), amps)
+    amps[1] = ComplexRational(1)  # the caller's map is copied, not kept
+    assert s == gen_ghz(2, 2) and hash(s) == hash(gen_ghz(2, 2))
+    assert set(t.amplitudes) == {0}
+
+
 def test_amplitude_lookup():
     s = gen_ghz(3, 2)
     assert s.amplitude((1, 1, 1)) == ComplexRational(1)
