@@ -1,6 +1,6 @@
 """Exact SLOCC classification of n-qudit pure states via coefficient-matrix ranks."""
 
-from .scalars import ComplexRational, format_scalar, parse_scalar
+from .scalars import ComplexRational, format_scalar
 from .states import (
     QuditState,
     InvalidIndexError,

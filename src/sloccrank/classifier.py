@@ -191,6 +191,14 @@ def _occupation_tuples(levels: int, n: int):
 # CSV emission
 # ---------------------------------------------------------------------------
 
+def _csv_field(text: str) -> str:
+    """text as one RFC 4180 field: quoted, with each " doubled, only when it
+    holds a comma, a quote, CR or LF; otherwise unchanged."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def scan_to_csv(levels: int, pset: PermutationSet, rows: Sequence[ScanRow]) -> str:
     out = io.StringIO()
     occ_cols = [f"l{k}" for k in range(levels)]
@@ -218,5 +226,5 @@ def classify_to_csv(groups: Dict[RankSignature, List[str]]) -> str:
         ranks = ",".join(map(str, sig.ranks))
         label = family_label(sig)
         for sid in sids:
-            out.write(f'{sid},{sig.split},"{sigma_list}","{ranks}","{label}"\n')
+            out.write(f'{_csv_field(sid)},{sig.split},"{sigma_list}","{ranks}","{label}"\n')
     return out.getvalue()

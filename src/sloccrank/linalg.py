@@ -101,11 +101,6 @@ class ExactMatrix:
                 out.append(row)
         return ExactMatrix(out)
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [[complex(x) for x in row] for row in self.data], dtype=complex
-        )
-
 
 def kron_all(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     out = mats[0]
@@ -260,7 +255,7 @@ SVD_SAFETY = 100.0  # threshold factor of the numeric cross-check
 def rank_numeric(m: ExactMatrix) -> RankResult:
     """Floating rank: singular values above smax * max(shape) * eps * SVD_SAFETY."""
     try:
-        arr = m.to_numpy()
+        arr = np.array([[complex(x) for x in row] for row in m.data], dtype=complex)
     except OverflowError as exc:
         raise ValueError(f"entries too large for float conversion: {exc}") from exc
     s = np.linalg.svd(arr, compute_uv=False)

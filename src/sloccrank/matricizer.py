@@ -17,12 +17,13 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from math import prod
 from operator import itemgetter, sub
 from typing import List, Mapping, Sequence, Tuple
 
 from .linalg import ExactMatrix, distinct_support
 from .scalars import ComplexRational, ZERO
-from .states import QuditState, check_dims, reorder_indices, total_dim
+from .states import QuditState, check_dims, reorder_indices
 
 
 _TRANSPOSITION = re.compile(r"\(([0-9]+),([0-9]+)\)")
@@ -47,13 +48,6 @@ class QuditPermutation:
                 f"transpositions must have strictly ascending rows and columns: {ts}"
             )
 
-    @property
-    def k(self) -> int:
-        return len(self.transpositions)
-
-    def is_identity(self) -> bool:
-        return not self.transpositions
-
     def site_order(self, n: int) -> Tuple[int, ...]:
         """Permuted site sequence: position i holds site site_order[i]."""
         order = list(range(1, n + 1))
@@ -64,7 +58,7 @@ class QuditPermutation:
         return tuple(order)
 
     def label(self) -> str:
-        if self.is_identity():
+        if not self.transpositions:
             return "I"
         return "".join(f"({r},{c})" for r, c in self.transpositions)
 
@@ -145,11 +139,11 @@ class CoefficientMatrix:
 
     @property
     def rows(self) -> int:
-        return total_dim(self.row_dims)
+        return prod(self.row_dims)
 
     @property
     def cols(self) -> int:
-        return total_dim(self.col_dims)
+        return prod(self.col_dims)
 
     def to_matrix(self) -> ExactMatrix:
         grid = [[ZERO] * self.cols for _ in range(self.rows)]
@@ -171,7 +165,7 @@ def _matricize_by_order(
 ) -> CoefficientMatrix:
     """Rows: the first l sites of order; columns: the rest."""
     perm_dims = tuple(state.dims[q - 1] for q in order)
-    cols = total_dim(perm_dims[l:])
+    cols = prod(perm_dims[l:])
     amps = state.amplitudes
     moved = sorted(
         zip(reorder_indices(amps, state.dims, order), amps.values()),
@@ -265,7 +259,7 @@ def split_capacity(dims: Sequence[int], l: int) -> int:
     p = 1
     for sigma in _sigmas_general(n, l_star):
         perm = tuple(sorted_dims[q - 1] for q in sigma.site_order(n))
-        p *= min(total_dim(perm[:l_star]), total_dim(perm[l_star:]))
+        p *= min(prod(perm[:l_star]), prod(perm[l_star:]))
     return p
 
 

@@ -128,15 +128,11 @@ def gaussian_pairs(values: Collection[ComplexRational]) -> Tuple[int, List[Tuple
 # Unicode digit
 _UNSIGNED = "[0-9]+(?:/[0-9]+)?"
 _RATIONAL = re.compile(f"[+-]?{_UNSIGNED}")
-_SCALAR = re.compile(f"([+-]?{_UNSIGNED})([+-]{_UNSIGNED})i")
-
-
-def _fmt_rational(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def format_rational(value: Fraction) -> str:
-    return _fmt_rational(value.numerator, value.denominator)
+    num, den = value.numerator, value.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -154,11 +150,3 @@ def format_scalar(z: ComplexRational) -> str:
     """Render as "re+imi" with both parts in p/q form, e.g. "1/2-3i"."""
     sign = "-" if z.b < 0 else "+"
     return f"{format_rational(z.re)}{sign}{format_rational(abs(z.im))}i"
-
-
-def parse_scalar(text: str) -> ComplexRational:
-    """Inverse of format_scalar: "re+imi" or "re-imi", each part p or p/q."""
-    m = _SCALAR.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(f"malformed scalar {text!r}")
-    return ComplexRational(parse_rational(m[1]), parse_rational(m[2]))

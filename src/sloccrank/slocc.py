@@ -13,13 +13,14 @@ builds no coefficient matrix.
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classifier import signature
 from .linalg import ExactMatrix, det_exact
 from .matricizer import optimal_split, permutation_set
 from .scalars import ComplexRational, ZERO, gaussian_pairs
-from .states import QuditState, ZeroStateError, reorder_indices, total_dim
+from .states import QuditState, ZeroStateError, reorder_indices
 
 
 class ZeroResultError(ZeroStateError):
@@ -39,9 +40,6 @@ class LocalOperatorSet:
 
     def __iter__(self):
         return iter(self.matrices)
-
-    def __len__(self):
-        return len(self.matrices)
 
     def __getitem__(self, site: int) -> ExactMatrix:
         """The operator on site, an int in 1..n; nothing wraps."""
@@ -89,7 +87,7 @@ def _apply_columns(
 ) -> Dict[int, Tuple[int, int]]:
     """The nonzero entries of (F_1 x ... x F_n) amps, site by site, with
     site_columns[k] the _integer_form columns of the factor on dims[k]."""
-    stride = total_dim(dims)
+    stride = prod(dims)
     for d, columns in zip(dims, site_columns):
         stride //= d
         new: Dict[int, Tuple[int, int]] = {}
@@ -276,12 +274,12 @@ def random_dims(
     while True:
         n = rng.randint(2, max_sites)
         dims = tuple(rng.randint(2, max_dim) for _ in range(n))
-        if total_dim(dims) <= max_total:
+        if prod(dims) <= max_total:
             return dims
 
 
 def random_sparse_state(dims: Sequence[int], rng: random.Random) -> QuditState:
-    D = total_dim(dims)
+    D = prod(dims)
     k = rng.randint(1, min(MAX_TERMS, D))
     indices = rng.sample(range(D), k)
     amps: Dict[int, ComplexRational] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from math import prod
 from types import MappingProxyType
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -45,13 +46,6 @@ def check_dims(dims: Sequence[int]) -> Dims:
     return dims
 
 
-def total_dim(dims: Sequence[int]) -> int:
-    out = 1
-    for d in dims:
-        out *= d
-    return out
-
-
 def flat_index(digits: Sequence[int], dims: Sequence[int]) -> int:
     """Lexicographic (big-endian mixed radix) flat index of a multi-index."""
     i = 0
@@ -76,7 +70,7 @@ def _check_flat_index(i: int, D: int) -> None:
 
 def multiindex_of(i: int, dims: Sequence[int]) -> MultiIndex:
     """Inverse of flat_index."""
-    _check_flat_index(i, total_dim(dims))
+    _check_flat_index(i, prod(dims))
     digits = []
     for d in reversed(dims):
         digits.append(i % d)
@@ -91,7 +85,7 @@ class QuditState:
 
     def __init__(self, dims: Sequence[int], amplitudes: Mapping[int, ComplexRational]):
         dims = check_dims(dims)
-        D = total_dim(dims)
+        D = prod(dims)
         amps: Dict[int, ComplexRational] = {}
         for i, a in amplitudes.items():
             _check_flat_index(i, D)
@@ -112,13 +106,9 @@ class QuditState:
     def n(self) -> int:
         return len(self.dims)
 
-    def amplitude(self, index) -> ComplexRational:
-        """Amplitude at a flat index (an int) or a multi-index (zero if absent)."""
-        if type(index) is int:
-            _check_flat_index(index, total_dim(self.dims))
-        else:  # a bool is not a flat index
-            index = flat_index(index, self.dims)
-        return self.amplitudes.get(index, ZERO)
+    def amplitude(self, digits: Sequence[int]) -> ComplexRational:
+        """Amplitude at a multi-index (zero if absent)."""
+        return self.amplitudes.get(flat_index(digits, self.dims), ZERO)
 
     def terms(self) -> Iterable[Tuple[MultiIndex, ComplexRational]]:
         for i in sorted(self.amplitudes):
@@ -184,13 +174,6 @@ def permute_qudits(state: QuditState, perm: Sequence[int]) -> QuditState:
     new_dims = tuple(state.dims[p - 1] for p in perm)
     moved = reorder_indices(amps, state.dims, perm)
     return QuditState(new_dims, dict(zip(moved, amps.values())))
-
-
-def invert_permutation(perm: Sequence[int]) -> Tuple[int, ...]:
-    inv = [0] * len(perm)
-    for pos, site in enumerate(perm):
-        inv[site - 1] = pos + 1
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------

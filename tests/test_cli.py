@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import csv
 import hashlib
 import json
 import runpy
@@ -189,6 +190,19 @@ def test_classify_csv_of_the_reference_table_is_pinned(tmp_path, monkeypatch, ca
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "17067da4dd9466ab4f905f5268da1624e439dec525027f809cb148944f69795e"
     )
+
+
+def test_classify_csv_quotes_ids_with_commas_and_quotes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ids = ["a,b.json", 'say "hi".json']
+    run(capsys, "gen", "--kind", "ghz", "--n", "4", "--d", "2", "--out", ids[0])
+    run(capsys, "gen", "--kind", "w", "--n", "4", "--out", ids[1])
+    code, out, _ = run(capsys, "classify", "--states", *ids, "--l", "2")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()[1:]))  # after the comment line
+    assert rows[0] == ["state_id", "l", "sigma_list", "ranks", "family_label"]
+    assert all(len(row) == 5 for row in rows)
+    assert sorted(row[0] for row in rows[1:]) == sorted(ids)
 
 
 def test_verify_requires_seed(capsys):

@@ -41,7 +41,7 @@ ENTRY_POINTS = [
     ("QuditState dims", lambda x: QuditState((x, 2), {0: ONE}), TypeError),
     ("flat_index", lambda x: flat_index((x, 0), (3, 3)), TypeError),
     ("multiindex_of", lambda x: multiindex_of(x, (3, 3)), InvalidIndexError),
-    ("QuditState.amplitude", lambda x: GHZ.amplitude(x), TypeError),
+    ("QuditState.amplitude", lambda x: GHZ.amplitude((x, 0, 0)), TypeError),
     ("permute_qudits", lambda x: permute_qudits(gen_w(3), (x, 1, 3)), TypeError),
     ("QuditPermutation", lambda x: QuditPermutation(((x, 3),)), TypeError),
     ("split_capacity dims", lambda x: split_capacity((x, 2, 2), 1), TypeError),

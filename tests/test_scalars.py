@@ -15,7 +15,6 @@ from sloccrank.scalars import (
     format_scalar,
     gaussian_pairs,
     parse_rational,
-    parse_scalar,
 )
 
 rationals = st.fractions(
@@ -123,7 +122,13 @@ def test_distributivity(x, y, z):
 
 @given(scalars)
 def test_scalar_text_round_trip(x):
-    assert parse_scalar(format_scalar(x)) == x
+    # "re+imi" or "re-imi": the sign after the first character splits the parts
+    text = format_scalar(x)
+    assert text.endswith("i")
+    cut = max(text.rfind("+"), text.rfind("-"))
+    assert cut > 0
+    assert parse_rational(text[:cut]) == x.re
+    assert parse_rational(text[cut:-1]) == x.im
 
 
 @given(rationals)
@@ -135,9 +140,6 @@ def test_scalar_format_examples():
     assert format_scalar(ComplexRational(Fraction(1, 2), Fraction(-3))) == "1/2-3i"
     assert format_scalar(ONE) == "1+0i"
     assert format_scalar(ZERO) == "0+0i"
-    assert parse_scalar("-1/3+2/5i") == ComplexRational(
-        Fraction(-1, 3), Fraction(2, 5)
-    )
 
 
 @pytest.mark.parametrize(
@@ -146,14 +148,6 @@ def test_scalar_format_examples():
 def test_rational_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
-
-
-@pytest.mark.parametrize(
-    "bad", ["1+2", "1", "+i", "1/2i", "1.0+0i", "1++2i", "1+-2i", "1_0+2i", "١+2i", "1+2i2i"]
-)
-def test_scalar_rejects_malformed(bad):
-    with pytest.raises(ValueError):
-        parse_scalar(bad)
 
 
 def test_gaussian_pairs_scale_by_the_lcm_of_denominators():

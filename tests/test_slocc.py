@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +36,6 @@ from sloccrank.states import (
     gen_ghz,
     gen_w,
     multiindex_of,
-    total_dim,
 )
 
 from oracles import apply_dense, identity_dense, invert_ops
@@ -430,7 +429,7 @@ def test_random_dims_respects_caps():
         dims = random_dims(rng)
         assert 2 <= len(dims) <= 5
         assert all(2 <= d <= 4 for d in dims)
-        assert total_dim(dims) <= 1024
+        assert prod(dims) <= 1024
 
 
 # -- trial harnesses --------------------------------------------------------

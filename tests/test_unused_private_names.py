@@ -1,20 +1,25 @@
-"""Every module-level private name in src/ is read somewhere in src/.
+"""Every module-level name in src/ is read by the program.
 
-A private helper (``_x``, dunders excepted) that no code reads is left over
-from a refactor; tests do not count as readers, since a helper kept alive
-only by its tests is dead in the program. A name counts as read when it
-appears as a loaded name, an attribute or a ``from ... import`` anywhere in
-src/.
+A private helper (``_x``, dunders excepted) must be read somewhere in src/,
+and a public name somewhere in src/, scripts/ or bench/; an import in
+``__init__`` is a read, so an exported name passes. Tests do not count as
+readers, since a name kept alive only by its tests is dead in the program. A
+name counts as read when it appears as a loaded name, an attribute or a
+``from ... import`` in a reader.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _is_private(name):
     return name.startswith("_") and not name.startswith("__")
+
+
+def _is_public(name):
+    return not name.startswith("_")
 
 
 def _bound_names(statement):
@@ -26,26 +31,43 @@ def _bound_names(statement):
     return []
 
 
-def unread_private_names(sources):
-    """(module, line, name) of each module-level private name nothing reads.
+def _sources(*dirs):
+    paths = sorted(p for d in dirs for p in (ROOT / d).rglob("*.py"))
+    return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
 
-    sources maps a module name to its source text.
-    """
-    defined = []
+
+def read_names(sources):
+    """Every name the sources load, read as an attribute or import by name."""
     read = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for statement in tree.body:
-            defined += [(module, statement.lineno, name)
-                        for name in _bound_names(statement) if _is_private(name)]
-        for node in ast.walk(tree):
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return sorted(d for d in defined if d[2] not in read)
+    return read
+
+
+def unread_names(defining, readers, kind):
+    """(module, line, name) of each module-level name of defining that kind
+    accepts and no module of readers reads.
+
+    Both map a module name to its source text.
+    """
+    read = read_names(readers)
+    return sorted(
+        (module, statement.lineno, name)
+        for module, source in defining.items()
+        for statement in ast.parse(source).body
+        for name in _bound_names(statement)
+        if kind(name) and name not in read
+    )
+
+
+def unread_private_names(sources):
+    return unread_names(sources, sources, _is_private)
 
 
 def test_detector_sees_loads_attributes_and_imports():
@@ -65,10 +87,19 @@ def test_detector_sees_loads_attributes_and_imports():
     assert unread_private_names(sources) == [
         ("a", 4, "_dead"), ("a", 5, "_Dead"), ("a", 6, "_stored"), ("b", 3, "_stored")
     ]
+    # a dunder is neither; an __init__ import reads a public name
+    assert unread_names(sources, sources, _is_public) == [("a", 8, "public")]
+    exported = {**sources, "__init__": "from .a import public\n"}
+    assert unread_names(sources, exported, _is_public) == []
 
 
 def test_every_private_name_in_src_is_read():
-    paths = sorted(SRC.rglob("*.py"))
-    assert len(paths) > 5
-    sources = {str(p.relative_to(SRC)): p.read_text() for p in paths}
+    sources = _sources("src")
+    assert len(sources) > 5
     assert unread_private_names(sources) == []
+
+
+def test_every_public_name_in_src_is_read_outside_tests():
+    src = _sources("src")
+    readers = {**src, **_sources("scripts", "bench")}
+    assert unread_names(src, readers, _is_public) == []
