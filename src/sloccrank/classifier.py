@@ -164,6 +164,8 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
     merged occupation-class matrix (symmetric_matrix), so no state and none
     of its levels**n terms are built.
     """
+    if type(levels) is not int or type(n) is not int:  # no float, bool or str
+        raise TypeError(f"scan needs int levels and n, got levels={levels!r}, n={n!r}")
     if levels not in _SCAN_LIMITS:
         raise ValueError("levels must be 3 or 4")
     limit = _SCAN_LIMITS[levels]

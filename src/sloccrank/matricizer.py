@@ -146,7 +146,8 @@ class CoefficientMatrix:
         return prod(self.col_dims)
 
     def to_matrix(self) -> ExactMatrix:
-        grid = [[ZERO] * self.cols for _ in range(self.rows)]
+        cols = self.cols
+        grid = [[ZERO] * cols for _ in range(self.rows)]
         for r, c, v in self.entries:
             grid[r][c] = v
         return ExactMatrix(grid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Collection, List, Tuple
 
 
@@ -23,7 +23,7 @@ class ComplexRational:
         if isinstance(a, Fraction) or isinstance(b, Fraction):
             # ints have .numerator and .denominator too
             da, db = a.denominator, b.denominator
-            den = da * db // gcd(da, db)
+            den = lcm(da, db)
             a = a.numerator * (den // da)
             b = b.numerator * (den // db)
             d = den * d
@@ -118,7 +118,7 @@ def gaussian_pairs(values: Collection[ComplexRational]) -> Tuple[int, List[Tuple
     den = 1
     for v in values:
         if v.d != 1:
-            den = den * v.d // gcd(den, v.d)
+            den = lcm(den, v.d)
     if den == 1:
         return 1, [(v.a, v.b) for v in values]
     return den, [(v.a * (den // v.d), v.b * (den // v.d)) for v in values]

@@ -7,7 +7,7 @@ transformed states and the rank-nonincrease checks are decided with no
 tolerance at all. apply_local and verify_theorem1 run one local-operator
 kernel on Gaussian-integer pairs under one common scale, so they take
 rational inputs too and do no ComplexRational arithmetic; verify_theorem1
-builds no coefficient matrix.
+builds no coefficient matrix. The trial harnesses compute each psi once.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _check_psi_dims(state: QuditState, psi: Optional[QuditState]) -> None:
 
 
 def verify_theorem1(
-    state: QuditState, ops: LocalOperatorSet, psi: Optional[QuditState] = None
+    state: QuditState, ops: LocalOperatorSet, psi: Optional[QuditState]
 ) -> bool:
     """Exact check of the matricization identity for local transformations.
 
@@ -133,7 +133,7 @@ def verify_theorem1(
     (l, sigma) must equal A M^sigma(phi) B^T, A and B the Kronecker products
     of the row- and column-block factors, each factor travelling with its
     qudit under sigma. Checked at every split l = 1..n-1 and every sigma of
-    its canonical set, all against one psi (computed here unless given).
+    its canonical set, all against the given psi; None is the zero vector.
     M^sigma(phi) at every l is a row-major fold of phi with its sites in
     sigma's order and vec(A M B^T) = (A x B) vec(M), so each identity holds
     iff the factors in that order map the reordered phi to psi under the
@@ -146,11 +146,6 @@ def verify_theorem1(
     n = state.n
     _check_psi_dims(state, psi)
     scale, phi_pairs, columns = _integer_form(state, ops)
-    if psi is None:
-        try:
-            psi = apply_local(state, ops)
-        except ZeroResultError:
-            pass
     psi_amps = {} if psi is None else psi.amplitudes
     psi_scale, psi_pairs = gaussian_pairs(psi_amps.values())
     if scale % psi_scale:
@@ -180,19 +175,14 @@ def rank_table(state: QuditState) -> Dict[Tuple[int, str], int]:
 
 
 def check_monotone_nonincrease(
-    state: QuditState, ops: LocalOperatorSet, psi: Optional[QuditState] = None
+    state: QuditState, psi: QuditState
 ) -> Tuple[bool, Dict[Tuple[int, str], Tuple[int, int]]]:
-    """True iff no coefficient-matrix rank grows under the local operators.
-
-    Returns (ok, {(l, sigma): (rank_before, rank_after)}). Raises
-    ZeroResultError when the operators annihilate the state; callers count
-    those trials as skips, not failures. psi, the transformed state, is
-    computed here unless the caller already has it; ValueError if psi is
-    not on the state's dims.
-    """
+    """(ok, {(l, sigma): (rank_before, rank_after)}), ok iff no rank of psi,
+    the state under local operators, exceeds the state's; ValueError if psi
+    is not on the state's dims."""
     _check_psi_dims(state, psi)
     before = rank_table(state)
-    after = rank_table(apply_local(state, ops) if psi is None else psi)
+    after = rank_table(psi)
     pairs = {key: (before[key], after[key]) for key in before}
     ok = all(b >= a for b, a in pairs.values())
     return ok, pairs
@@ -299,13 +289,21 @@ def _trials(
     seed: int,
     dims: Optional[Sequence[int]],
     sample_ops: Callable[[Sequence[int], random.Random], LocalOperatorSet],
-) -> Iterator[Tuple[int, Tuple[int, ...], QuditState, LocalOperatorSet]]:
-    """(trial, dims, state, ops) per trial, all drawn from one seeded rng."""
+) -> Iterator[
+    Tuple[int, Tuple[int, ...], QuditState, LocalOperatorSet, Optional[QuditState]]
+]:
+    """(trial, dims, state, ops, psi) per trial, all drawn from one seeded
+    rng; psi is the state under ops, None when they annihilate it."""
     rng = random.Random(seed)
     for t in range(trials):
         trial_dims = tuple(dims) if dims else random_dims(rng)
         state = random_sparse_state(trial_dims, rng)
-        yield t, trial_dims, state, sample_ops(trial_dims, rng)
+        ops = sample_ops(trial_dims, rng)
+        try:
+            psi = apply_local(state, ops)
+        except ZeroResultError:
+            psi = None
+        yield t, trial_dims, state, ops, psi
 
 
 def _rank_record(pairs: Dict[Tuple[int, str], Tuple[int, int]]) -> Dict[str, list]:
@@ -317,11 +315,10 @@ def run_theorem1_trials(
 ) -> List[dict]:
     """Randomized identity + signature-invariance trials for invertible ops."""
     records = []
-    for t, trial_dims, state, ops in _trials(trials, seed, dims, random_ilo_set):
-        # invertible operators never annihilate the state
-        psi = apply_local(state, ops)
+    # invertible operators never annihilate the state, so psi is never None
+    for t, trial_dims, state, ops, psi in _trials(trials, seed, dims, random_ilo_set):
         identity_ok = verify_theorem1(state, ops, psi)
-        pairs = check_monotone_nonincrease(state, ops, psi)[1]
+        pairs = check_monotone_nonincrease(state, psi)[1]
         # the signature is the rank tuple at the optimal split
         l_opt = optimal_split(trial_dims)
         sig_ok = all(b == a for (l, _), (b, a) in pairs.items() if l == l_opt)
@@ -343,17 +340,16 @@ def run_monotone_trials(
 ) -> List[dict]:
     """Randomized rank-nonincrease trials with possibly singular operators."""
     records = []
-    for t, trial_dims, state, ops in _trials(
+    for t, trial_dims, state, ops, psi in _trials(
         trials, seed, dims, random_possibly_singular_set
     ):
         invertible = ops.invertible
         rec = {"trial": t, "dims": list(trial_dims), "invertible": invertible}
         records.append(rec)
-        try:
-            ok, pairs = check_monotone_nonincrease(state, ops)
-        except ZeroResultError:
+        if psi is None:  # the operators annihilated the state
             rec["result"] = "skip"
             continue
+        ok, pairs = check_monotone_nonincrease(state, psi)
         if invertible:
             ok = ok and all(b == a for b, a in pairs.values())
         rec["result"] = "pass" if ok else "fail"

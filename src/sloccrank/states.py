@@ -17,7 +17,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .scalars import ZERO, ComplexRational, format_rational, parse_rational
+from .scalars import ONE, ZERO, ComplexRational, format_rational, parse_rational
 
 Dims = Tuple[int, ...]
 MultiIndex = Tuple[int, ...]
@@ -187,8 +187,7 @@ def gen_ghz(n: int, d: int) -> QuditState:
     if n < 2 or d < 2:
         raise ValueError(f"GHZ needs n >= 2 and d >= 2, got n={n}, d={d}")
     dims = (d,) * n
-    one = ComplexRational(1)
-    amps = {flat_index((j,) * n, dims): one for j in range(d)}
+    amps = {flat_index((j,) * n, dims): ONE for j in range(d)}
     return QuditState(dims, amps)
 
 
@@ -208,14 +207,13 @@ def _symmetric_state(levels: int, n: int, counts: Sequence[int]) -> QuditState:
         )
     dims = (levels,) * n
     weights = [levels ** (n - 1 - p) for p in range(n)]
-    one = ComplexRational(1)
     amps: Dict[int, ComplexRational] = {}
     # place level 1, then 2, ... into the free positions; the remainder is 0s
     def place(level: int, free: Tuple[int, ...], index: int) -> None:
         c = counts[level - 1]
         if level == len(counts):
             for ws in combinations([weights[p] for p in free], c):
-                amps[index + level * sum(ws)] = one
+                amps[index + level * sum(ws)] = ONE
             return
         for positions in combinations(free, c):
             rest = tuple(p for p in free if p not in positions)
@@ -320,10 +318,20 @@ def save_state(state: QuditState, path) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a key that appears twice raises StateFormatError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise StateFormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_state(path) -> QuditState:
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"{path}: invalid JSON: {exc}") from exc
     return state_from_json(obj)

@@ -255,6 +255,15 @@ def test_malformed_state_file_exits_2(tmp_path, capsys):
     assert "unknown fields" in err
 
 
+def test_state_file_with_a_repeated_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"dims":[2,2],"dims":[3,3],'
+                    '"amplitudes":[{"index":[2,2],"re":"1","re":"7"}]}')
+    code, out, err = run(capsys, "matrix", "--state", str(path), "--l", "1")
+    assert code == 2 and out == ""
+    assert "repeated key" in err
+
+
 def test_directory_paths_exit_2(tmp_path, capsys):
     # a directory as --state or --out is an input error, not a traceback
     code, _, err = run(capsys, "rank", "--state", str(tmp_path))

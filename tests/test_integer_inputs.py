@@ -9,6 +9,7 @@ an out-of-range one does; a local-operator site raises IndexError.
 
 import pytest
 
+from sloccrank.classifier import dicke_scan
 from sloccrank.linalg import ExactMatrix
 from sloccrank.matricizer import (
     QuditPermutation,
@@ -56,7 +57,12 @@ ENTRY_POINTS = [
     ("gen_dicke3 n", lambda x: gen_dicke3(x, 1, 0), TypeError),
     ("gen_dicke3 l1", lambda x: gen_dicke3(4, x, 0), TypeError),
     ("gen_dicke4 l1", lambda x: gen_dicke4(5, x, 0, 0), TypeError),
+    ("dicke_scan levels", lambda x: dicke_scan(x, 2), TypeError),
+    ("dicke_scan n", lambda x: dicke_scan(3, x), TypeError),
 ]
+# the int an entry point accepts where the calls above put x, when 2 is out
+# of its range
+ACCEPTED = {"dicke_scan levels": 3}
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"], ids=repr)
@@ -70,8 +76,8 @@ def test_a_non_int_raises_instead_of_being_read_as_one(call, error, value):
 
 def test_the_same_calls_accept_the_int():
     # the failures above are about the type, not the value 2
-    for _, call, _ in ENTRY_POINTS:
-        call(2)
+    for name, call, _ in ENTRY_POINTS:
+        call(ACCEPTED.get(name, 2))
 
 
 @pytest.mark.parametrize("site", [0, -1, 3])

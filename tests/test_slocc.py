@@ -45,6 +45,14 @@ def dicts_equal(state, amp_map):
     return state.amplitudes == amp_map
 
 
+def _image(state, ops):
+    """psi = (F_1 x ... x F_n) state, or None when the operators annihilate it."""
+    try:
+        return apply_local(state, ops)
+    except ZeroResultError:
+        return None
+
+
 # -- LocalOperatorSet -------------------------------------------------------
 
 def test_operator_set_validates_sites_and_dims():
@@ -135,7 +143,7 @@ def test_apply_inverse_restores_state(seed):
 
 def test_identity_holds_for_identity_ops():
     s = gen_ghz(4, 2)
-    assert verify_theorem1(s, LocalOperatorSet.identity(s.dims))
+    assert verify_theorem1(s, LocalOperatorSet.identity(s.dims), s)
 
 
 @given(st.integers(0, 10**6))
@@ -144,7 +152,8 @@ def test_identity_holds_for_random_invertible_ops(seed):
     rng = random.Random(seed)
     dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
     s = random_sparse_state(dims, rng)
-    assert verify_theorem1(s, random_ilo_set(dims, rng))
+    ops = random_ilo_set(dims, rng)
+    assert verify_theorem1(s, ops, apply_local(s, ops))
 
 
 @given(st.integers(0, 10**6))
@@ -153,7 +162,8 @@ def test_identity_holds_for_singular_ops(seed):
     rng = random.Random(seed)
     dims = random_dims(rng, max_sites=3, max_dim=3, max_total=27)
     s = random_sparse_state(dims, rng)
-    assert verify_theorem1(s, random_possibly_singular_set(dims, rng))
+    ops = random_possibly_singular_set(dims, rng)
+    assert verify_theorem1(s, ops, _image(s, ops))
 
 
 def test_identity_holds_when_ops_annihilate_the_state():
@@ -165,7 +175,7 @@ def test_identity_holds_when_ops_annihilate_the_state():
     ops = LocalOperatorSet([p0, i2, i2])
     with pytest.raises(ZeroResultError):
         apply_local(s, ops)
-    assert verify_theorem1(s, ops)
+    assert verify_theorem1(s, ops, None)
 
 
 def test_identity_drops_entries_that_cancel():
@@ -179,21 +189,30 @@ def test_identity_drops_entries_that_cancel():
     killed = QuditState(dims, {0: one, 2: minus})
     with pytest.raises(ZeroResultError):
         apply_local(killed, ops)
-    assert verify_theorem1(killed, ops) and identity_dense(killed, ops, None)
+    assert verify_theorem1(killed, ops, None) and identity_dense(killed, ops, None)
     partial = QuditState(dims, {0: one, 1: one, 2: minus})
     psi = apply_local(partial, ops)
     assert psi.amplitudes == {1: one}
     assert verify_theorem1(partial, ops, psi) and identity_dense(partial, ops, psi)
 
 
-def test_identity_detects_a_wrong_psi(monkeypatch):
+def test_identity_detects_a_wrong_psi():
     # psi taken from W instead of GHZ must break the identity
     s = gen_ghz(3, 2)
     ops = random_ilo_set(s.dims, random.Random(4))
-    monkeypatch.setattr(
-        sloccrank.slocc, "apply_local", lambda state, o: apply_local(gen_w(3), o)
-    )
-    assert not verify_theorem1(s, ops)
+    assert not verify_theorem1(s, ops, apply_local(gen_w(3), ops))
+
+
+def test_identity_reads_none_as_the_zero_vector_as_the_oracle_does():
+    # invertible operators never send GHZ to zero; P0 x P1 x I kills both
+    # of its terms
+    s = gen_ghz(3, 2)
+    ops = random_ilo_set(s.dims, random.Random(4))
+    assert not verify_theorem1(s, ops, None) and not identity_dense(s, ops, None)
+    p0 = ExactMatrix.from_ints([[1, 0], [0, 0]])
+    p1 = ExactMatrix.from_ints([[0, 0], [0, 1]])
+    killer = LocalOperatorSet([p0, p1, ExactMatrix.identity(2)])
+    assert verify_theorem1(s, killer, None) and identity_dense(s, killer, None)
 
 
 def _annihilating_ops(state, rng):
@@ -238,7 +257,7 @@ def test_identity_matches_dense_oracle(seed):
     killer = _annihilating_ops(s, rng)
     with pytest.raises(ZeroResultError):
         apply_local(s, killer)
-    assert verify_theorem1(s, killer) and identity_dense(s, killer, None)
+    assert verify_theorem1(s, killer, None) and identity_dense(s, killer, None)
     assert verify_theorem1(s, killer, cases[1]) == identity_dense(s, killer, cases[1])
     assert not verify_theorem1(s, killer, cases[1])
 
@@ -256,7 +275,7 @@ def test_identity_check_builds_no_dense_grid(monkeypatch):
     for name in ("kron", "matmul", "transpose"):
         monkeypatch.setattr(ExactMatrix, name, forbidden)
     monkeypatch.setattr(sloccrank.linalg, "kron_all", forbidden)
-    assert verify_theorem1(s, ops)
+    assert verify_theorem1(s, ops, apply_local(s, ops))
 
 
 @given(st.integers(0, 10**6), st.booleans())
@@ -322,7 +341,7 @@ def test_identity_and_monotone_reject_a_psi_on_other_dims():
         with pytest.raises(ValueError, match="dims"):
             verify_theorem1(phi, ops, psi)
         with pytest.raises(ValueError, match="dims"):
-            check_monotone_nonincrease(phi, ops, psi)
+            check_monotone_nonincrease(phi, psi)
 
 
 def test_apply_and_identity_do_no_scalar_arithmetic(monkeypatch):
@@ -378,7 +397,7 @@ def test_projector_collapses_ranks():
     i2 = ExactMatrix.identity(2)
     s = gen_ghz(3, 2)
     ops = LocalOperatorSet([p0, i2, i2])
-    ok, pairs = check_monotone_nonincrease(s, ops)
+    ok, pairs = check_monotone_nonincrease(s, apply_local(s, ops))
     assert ok
     assert all(b == 2 and a == 1 for b, a in pairs.values())
 
@@ -390,10 +409,10 @@ def test_monotone_never_increases(seed):
     dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
     s = random_sparse_state(dims, rng)
     ops = random_possibly_singular_set(dims, rng)
-    try:
-        ok, pairs = check_monotone_nonincrease(s, ops)
-    except ZeroResultError:
+    psi = _image(s, ops)
+    if psi is None:
         return
+    ok, pairs = check_monotone_nonincrease(s, psi)
     assert ok
     if ops.invertible:
         assert all(b == a for b, a in pairs.values())
@@ -481,6 +500,19 @@ def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
         expected += 2 * sum(len(permutation_set(n, l)) for l in range(1, n))
     assert calls["rank_exact"] == expected
     assert calls["matricize"] == expected
+
+
+def test_monotone_harness_applies_once_per_trial(monkeypatch):
+    calls = []
+
+    def counting(state, ops):
+        calls.append(ops)
+        return apply_local(state, ops)
+
+    monkeypatch.setattr(sloccrank.slocc, "apply_local", counting)
+    records = run_monotone_trials(6, seed=20260824)
+    assert all(r["result"] == "pass" for r in records)
+    assert len(calls) == len(records)
 
 
 def test_monotone_harness_checks_invertibility_once_per_trial(monkeypatch):

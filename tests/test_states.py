@@ -508,6 +508,24 @@ def test_load_rejects_invalid_json(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"dims": [2, 2], "dims": [3, 3], "amplitudes": [{"index": [0, 0]}]}', "dims"),
+        ('{"dims": [2, 2], "amplitudes": [{"index": [1, 1], "re": "1", "re": "7"}]}', "re"),
+        ('{"dims": [2, 2], "amplitudes": [{"index": [0, 0], "index": [1, 1], "re": 1}]}',
+         "index"),
+    ],
+    ids=["dims", "re", "index"],
+)
+def test_load_rejects_a_repeated_key(tmp_path, text, key):
+    # json keeps the last of two equal keys; a state file may not hold both
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(StateFormatError, match=f"repeated key '{key}'"):
+        load_state(path)
+
+
 def test_json_is_sorted_and_stable():
     s = gen_w(3)
     doc1 = json.dumps(state_to_json(s))

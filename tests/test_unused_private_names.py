@@ -1,11 +1,12 @@
-"""Every module-level name in src/ is read by the program.
+"""Every module-level name and class member in src/ is read by the program.
 
 A private helper (``_x``, dunders excepted) must be read somewhere in src/,
 and a public name somewhere in src/, scripts/ or bench/; an import in
-``__init__`` is a read, so an exported name passes. Tests do not count as
-readers, since a name kept alive only by its tests is dead in the program. A
-name counts as read when it appears as a loaded name, an attribute or a
-``from ... import`` in a reader.
+``__init__`` is a read, so an exported name passes. So must each non-dunder
+member a class body in src/ binds: methods, properties, classmethods and
+dataclass fields. Tests do not count as readers, since a name kept alive
+only by its tests is dead in the program. A name counts as read when it
+appears as a loaded name, an attribute or a ``from ... import`` in a reader.
 """
 
 import ast
@@ -70,6 +71,30 @@ def unread_private_names(sources):
     return unread_names(sources, sources, _is_private)
 
 
+def unread_members(defining, readers):
+    """(module, line, "Class.member") of each non-dunder member a class body
+    of defining binds and no module of readers reads."""
+    read = read_names(readers)
+    return sorted(
+        (module, statement.lineno, f"{node.name}.{name}")
+        for module, source in defining.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for statement in node.body
+        for name in _bound_names(statement)
+        if not name.startswith("__") and name not in read
+    )
+
+
+# members that no program code reads, kept for a stated reason
+UNREAD_MEMBERS_KEPT = {
+    "QuditState.amplitude": "tests/oracles.py::partial_trace reads amplitudes "
+                            "by multi-index with it",
+    "ExactMatrix.from_ints": "the tests build their integer matrices with it "
+                             "(kept by ROADMAP item 4)",
+}
+
+
 def test_detector_sees_loads_attributes_and_imports():
     sources = {
         "a": (
@@ -93,6 +118,25 @@ def test_detector_sees_loads_attributes_and_imports():
     assert unread_names(sources, exported, _is_public) == []
 
 
+def test_detector_sees_dead_class_members():
+    sources = {
+        "a": (
+            "class Box:\n"
+            "    size: int\n"
+            "    unread: int\n"
+            "    def __len__(self): return self.size\n"
+            "    def used(self): pass\n"
+            "    def dead(self): pass\n"
+            "    @property\n"
+            "    def width(self): return 1\n"
+            "    @classmethod\n"
+            "    def make(cls): return cls()\n"
+        ),
+        "b": "from a import Box\nBox.make().used()\nprint(Box().width)\n",
+    }
+    assert unread_members(sources, sources) == [("a", 3, "Box.unread"), ("a", 6, "Box.dead")]
+
+
 def test_every_private_name_in_src_is_read():
     sources = _sources("src")
     assert len(sources) > 5
@@ -103,3 +147,12 @@ def test_every_public_name_in_src_is_read_outside_tests():
     src = _sources("src")
     readers = {**src, **_sources("scripts", "bench")}
     assert unread_names(src, readers, _is_public) == []
+
+
+def test_every_class_member_in_src_is_read_outside_tests():
+    # the kept list cannot go stale: a kept name that is gone or has become
+    # read fails as a new unread member does
+    src = _sources("src")
+    readers = {**src, **_sources("scripts", "bench")}
+    unread = {name for _, _, name in unread_members(src, readers)}
+    assert unread == set(UNREAD_MEMBERS_KEPT)
