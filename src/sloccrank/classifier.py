@@ -40,16 +40,27 @@ class RankSignature:
         return self.sigma_set.l
 
 
+def sigma_ranks(state: QuditState, pset: PermutationSet, memo: dict) -> Tuple[int, ...]:
+    """Exact rank at each sigma of pset. A rank depends only on the bipartition
+    {S, S^c}, S = sigma's first l sites (M at S^c is M at S transposed), so memo,
+    one per state, maps the side holding site 1 to its rank."""
+    n, l = pset.n, pset.l
+    ranks = []
+    for sigma in pset:
+        order = sigma.site_order(n)
+        key = frozenset(order[:l] if 1 in order[:l] else order[l:])
+        if key not in memo:
+            memo[key] = rank_exact(coefficient_matrix(state, l, sigma).support()).rank
+        ranks.append(memo[key])
+    return tuple(ranks)
+
+
 def signature(state: QuditState, l: Union[int, str] = "auto") -> RankSignature:
-    """Exact rank signature of the state at split l ('auto' = optimal split)."""
+    """Exact signature at split l ('auto' = optimal), each bipartition ranked once."""
     if l == "auto":
         l = optimal_split(state.dims)
     pset = permutation_set(state.n, l)
-    ranks = tuple(
-        rank_exact(coefficient_matrix(state, l, sigma).support()).rank
-        for sigma in pset
-    )
-    return RankSignature(pset, ranks)
+    return RankSignature(pset, sigma_ranks(state, pset, {}))
 
 
 def family_label(sig: RankSignature) -> str:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from math import prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .scalars import ComplexRational, ONE, ZERO, gaussian_pairs
 
 
@@ -254,6 +252,7 @@ SVD_SAFETY = 100.0  # threshold factor of the numeric cross-check
 
 def rank_numeric(m: ExactMatrix) -> RankResult:
     """Floating rank: singular values above smax * max(shape) * eps * SVD_SAFETY."""
+    import numpy as np  # here, so the exact program's import does not pay for numpy
     try:
         arr = np.array([[complex(x) for x in row] for row in m.data], dtype=complex)
     except OverflowError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter, sub
@@ -96,8 +96,8 @@ class PermutationSet:
 
 
 def _check_split(n: int, l: int) -> None:
-    if type(l) is not int:  # no float, bool or str
-        raise TypeError(f"split l={l!r} is not an int")
+    if type(n) is not int or type(l) is not int:  # no float, bool or str
+        raise TypeError(f"split needs int n and l, got n={n!r}, l={l!r}")
     if not 1 <= l <= n - 1:
         raise ValueError(f"split l={l} out of range [1, {n - 1}]")
 
@@ -119,8 +119,14 @@ def permutation_set(n: int, l: int) -> PermutationSet:
     """Canonical permutation set: ascending k, then lex on rows, then columns.
 
     For l = 1 this is the single-site family sigma_k = (1, k+1), k = 0..n-1.
+    Built once per (n, l) and shared; checked before the cache, which takes 2.0 as 2.
     """
     _check_split(n, l)
+    return _permutation_set(n, l)
+
+
+@lru_cache(maxsize=64)
+def _permutation_set(n: int, l: int) -> PermutationSet:
     if l == 1:
         sigmas = [QuditPermutation(())]
         sigmas += [QuditPermutation(((1, j),)) for j in range(2, n + 1)]

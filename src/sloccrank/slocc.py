@@ -16,7 +16,7 @@ import random
 from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .classifier import signature
+from .classifier import sigma_ranks
 from .linalg import ExactMatrix, det_exact
 from .matricizer import optimal_split, permutation_set
 from .scalars import ComplexRational, ZERO, gaussian_pairs
@@ -165,11 +165,13 @@ def verify_theorem1(
 
 
 def rank_table(state: QuditState) -> Dict[Tuple[int, str], int]:
-    """Exact ranks at every split l and every sigma in its canonical set."""
+    """Exact ranks at every split l and every sigma in its canonical set, each
+    bipartition ranked once: one memo serves l and n - l."""
     out: Dict[Tuple[int, str], int] = {}
+    memo = {}
     for l in range(1, state.n):
-        sig = signature(state, l)
-        for label, rank in zip(sig.sigma_set.labels(), sig.ranks):
+        pset = permutation_set(state.n, l)
+        for label, rank in zip(pset.labels(), sigma_ranks(state, pset, memo)):
             out[(l, label)] = rank
     return out
 

@@ -329,9 +329,11 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_state(path) -> QuditState:
+    """The state in a JSON file; a format or zero-state error names the path."""
     with open(path) as fh:
         try:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
+            return state_from_json(json.load(fh, object_pairs_hook=_unique_keys))
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return state_from_json(obj)
+        except (StateFormatError, ZeroStateError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc

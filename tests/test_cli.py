@@ -264,6 +264,25 @@ def test_state_file_with_a_repeated_key_exits_2(tmp_path, capsys):
     assert "repeated key" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dims":[2,2],"dims":[2,2],"amplitudes":[]}', "repeated key 'dims'"),
+        ('{"dims":[2,2],"amplitudes":[{"index":[0,0],"re":"1"}],"x":1}',
+         "unknown fields: ['x']"),
+        ('{"dims":[2,2],"amplitudes":[]}', "state has no nonzero amplitude"),
+    ],
+    ids=["repeated-key", "unknown-field", "zero-state"],
+)
+def test_a_bad_state_file_is_named_in_its_error(tmp_path, capsys, text, message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"dims":[2,2],"amplitudes":[{"index":[0,0],"re":"1"}]}')
+    bad.write_text(text)
+    code, out, err = run(capsys, "classify", "--states", str(good), str(bad), "--l", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: {message}\n"
+
+
 def test_directory_paths_exit_2(tmp_path, capsys):
     # a directory as --state or --out is an input error, not a traceback
     code, _, err = run(capsys, "rank", "--state", str(tmp_path))

@@ -114,6 +114,14 @@ def test_permutation_set_split_bounds():
             coefficient_matrix(gen_ghz(4, 2), l)
 
 
+def test_permutation_set_stays_type_strict_with_a_warm_cache():
+    # 2.0 and True hash equal to 2 and 1, so a cached (4, 2) must not answer them
+    assert permutation_set(4, 2) is permutation_set(4, 2)
+    for n, l in ((4, 2.0), (4, True), (4.0, 2), (True, 1)):
+        with pytest.raises(TypeError):
+            permutation_set(n, l)
+
+
 # -- coefficient matrices ---------------------------------------------------
 
 def test_ghz_l1_matrix_structure():

@@ -11,8 +11,14 @@ from hypothesis import given, settings, strategies as st
 import sloccrank.classifier
 import sloccrank.matricizer
 import sloccrank.slocc
+from sloccrank.classifier import signature
 from sloccrank.linalg import ExactMatrix, det_exact, rank_exact
-from sloccrank.matricizer import CoefficientMatrix, QuditPermutation, permutation_set
+from sloccrank.matricizer import (
+    CoefficientMatrix,
+    QuditPermutation,
+    coefficient_matrix,
+    permutation_set,
+)
 from sloccrank.scalars import ComplexRational, ZERO
 from sloccrank.slocc import (
     LocalOperatorSet,
@@ -490,16 +496,51 @@ def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
         "_matricize_by_order",
         counting("matricize", sloccrank.matricizer._matricize_by_order),
     )
-    records = run_theorem1_trials(3, seed=20260823)
+    records = run_theorem1_trials(200, seed=20260823)
     assert all(r["result"] == "pass" for r in records)
     assert calls["apply_local"] == len(records)
-    # phi and psi once per (l, sigma): the rank tables' matrices, no others
-    expected = 0
-    for r in records:
-        n = len(r["dims"])
-        expected += 2 * sum(len(permutation_set(n, l)) for l in range(1, n))
-    assert calls["rank_exact"] == expected
+    # phi and psi once per bipartition {S, S^c} of some (l, sigma), which
+    # is every bipartition at n <= 4: the rank tables' matrices, no others
+    assert [len(_bipartitions(n)) for n in (2, 3, 4)] == [1, 3, 7]
+    expected = sum(2 * len(_bipartitions(len(r["dims"]))) for r in records)
+    assert calls["rank_exact"] == expected == 2544
     assert calls["matricize"] == expected
+
+
+def _bipartitions(n):
+    """The unordered {S, S^c} over every split l and sigma of its set."""
+    orders = [(l, s.site_order(n)) for l in range(1, n) for s in permutation_set(n, l)]
+    return {frozenset({frozenset(o[:l]), frozenset(o[l:])}) for l, o in orders}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_table_matches_a_rank_per_sigma(n):
+    # one rank per bipartition must equal the full grid's rank at every
+    # (l, sigma), also at odd n where the sets at l and n - l differ in size
+    if n == 5:
+        assert [len(permutation_set(5, l)) for l in (2, 3)] == [7, 10]
+    rng = random.Random(f"rank_table/{n}")
+    for _ in range(6):
+        dims = tuple(rng.randint(2, 3) for _ in range(n))
+        state = random_sparse_state(dims, rng)
+        table = rank_table(state)
+        for l in range(1, n):
+            for sigma in permutation_set(n, l):
+                m = coefficient_matrix(state, l, sigma).to_matrix()
+                assert table[(l, sigma.label())] == rank_exact(m).rank
+
+
+def test_two_site_signature_ranks_its_one_bipartition_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rank_exact(m)
+
+    monkeypatch.setattr(sloccrank.classifier, "rank_exact", counting)
+    state = QuditState((2, 3), {1: ComplexRational(1), 3: ComplexRational(2)})
+    assert signature(state, 1).ranks == (2, 2)  # I and (1,2): one {1} | {2} cut
+    assert len(calls) == 1
 
 
 def test_monotone_harness_applies_once_per_trial(monkeypatch):
