@@ -14,7 +14,6 @@ from .states import (
     gen_dicke3,
     gen_dicke4,
     load_state,
-    save_state,
     state_from_json,
     state_to_json,
 )

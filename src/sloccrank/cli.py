@@ -58,7 +58,7 @@ def _write(text: str, path) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -81,11 +81,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_rank(args) -> int:
+def _matricize(args):
+    """(coefficient matrix, l, sigma) of the --state file at --l and --sigma."""
     state = load_state(args.state)
     l = _resolve_split(state, args.l)
     sigma = QuditPermutation.parse(args.sigma)
-    cm = coefficient_matrix(state, l, sigma)
+    return coefficient_matrix(state, l, sigma), l, sigma
+
+
+def _cmd_rank(args) -> int:
+    cm, l, sigma = _matricize(args)
     if args.numeric:
         method, result = "numeric", rank_numeric(cm.to_matrix())
     else:
@@ -113,10 +118,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    state = load_state(args.state)
-    l = _resolve_split(state, args.l)
-    sigma = QuditPermutation.parse(args.sigma)
-    cm = coefficient_matrix(state, l, sigma)
+    cm, l, sigma = _matricize(args)
     m = cm.to_matrix()
     lines = [f"# rows={m.rows} cols={m.cols} split={l} sigma={sigma.label()}"]
     for row in m.data:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .scalars import ComplexRational, ONE, ZERO, gaussian_pairs
+from .scalars import ComplexRational, ZERO, gaussian_pairs
 
 
 class ExactMatrix:
@@ -37,16 +37,6 @@ class ExactMatrix:
         self.cols = cols
         self.data = data
 
-    @classmethod
-    def from_ints(cls, grid: Sequence[Sequence[int]]) -> "ExactMatrix":
-        return cls([[ComplexRational(x) for x in row] for row in grid])
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -58,11 +48,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)]
-        )
 
     def dagger(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -89,22 +74,14 @@ class ExactMatrix:
                         out_i[j] = out_i[j] + a * b
         return ExactMatrix(out)
 
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for a in self.data[i]:
-                    row.extend(a * b for b in other.data[k])
-                out.append(row)
-        return ExactMatrix(out)
-
 
 def kron_all(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    out = mats[0]
+    """mats[0] x mats[1] x ..., row (i, k) and column (j, l) of each
+    pairwise product holding a[i][j] * b[k][l]."""
+    out = mats[0].data
     for m in mats[1:]:
-        out = out.kron(m)
-    return out
+        out = [[a * b for a in row for b in mrow] for row in out for mrow in m.data]
+    return ExactMatrix(out)
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,6 @@ class LocalOperatorSet:
     def invertible(self) -> bool:
         return all(not det_exact(m).is_zero() for m in self.matrices)
 
-    @classmethod
-    def identity(cls, dims: Sequence[int]) -> "LocalOperatorSet":
-        return cls([ExactMatrix.identity(d) for d in dims])
-
 
 def _integer_form(state: QuditState, ops: LocalOperatorSet) -> Tuple[int, list, list]:
     """K = L * prod den_q, L * phi's pairs in amplitude order and per site q

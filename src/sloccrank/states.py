@@ -17,7 +17,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .scalars import ONE, ZERO, ComplexRational, format_rational, parse_rational
+from .scalars import ONE, ComplexRational, format_rational, parse_rational
 
 Dims = Tuple[int, ...]
 MultiIndex = Tuple[int, ...]
@@ -105,10 +105,6 @@ class QuditState:
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    def amplitude(self, digits: Sequence[int]) -> ComplexRational:
-        """Amplitude at a multi-index (zero if absent)."""
-        return self.amplitudes.get(flat_index(digits, self.dims), ZERO)
 
     def terms(self) -> Iterable[Tuple[MultiIndex, ComplexRational]]:
         for i in sorted(self.amplitudes):
@@ -312,12 +308,6 @@ def state_from_json(obj) -> QuditState:
     return QuditState(dims, amps)
 
 
-def save_state(state: QuditState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_json(state), fh, indent=1)
-        fh.write("\n")
-
-
 def _unique_keys(pairs) -> dict:
     """A JSON object's dict; a key that appears twice raises StateFormatError."""
     obj = {}
@@ -330,7 +320,7 @@ def _unique_keys(pairs) -> dict:
 
 def load_state(path) -> QuditState:
     """The state in a JSON file; a format or zero-state error names the path."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return state_from_json(json.load(fh, object_pairs_hook=_unique_keys))
         except json.JSONDecodeError as exc:

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity by a route disjoint from the library's
 implementation: explicit enumeration, brute-force contraction, modular-prime
 elimination, rational Gauss(-Jordan) elimination, dense Kronecker products.
-They are deliberately slow and simple.
+They are deliberately slow and simple. The matrix and operator builders
+at the top are what the tests construct their inputs with.
 """
 
 from __future__ import annotations
@@ -16,6 +17,39 @@ from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import LocalOperatorSet
 from sloccrank.states import QuditState, flat_index, multiindex_of
+
+
+def from_ints(grid) -> ExactMatrix:
+    return ExactMatrix([[ComplexRational(x) for x in row] for row in grid])
+
+
+def identity_matrix(d: int) -> ExactMatrix:
+    return ExactMatrix([[ONE if i == j else ZERO for j in range(d)] for i in range(d)])
+
+
+def identity_ops(dims) -> LocalOperatorSet:
+    return LocalOperatorSet([identity_matrix(d) for d in dims])
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix([list(col) for col in zip(*m.data)])
+
+
+def kron_by_digits(mats) -> ExactMatrix:
+    """Kronecker product cell by cell: the cell at row digits (i_1, ..., i_k)
+    and column digits (j_1, ..., j_k), both enumerated in lex order, is the
+    product of mats[t][i_t][j_t]."""
+    grid = []
+    for rd in product(*[range(m.rows) for m in mats]):
+        row = []
+        for cd in product(*[range(m.cols) for m in mats]):
+            x = ONE
+            for m, i, j in zip(mats, rd, cd):
+                x = x * m.data[i][j]
+            row.append(x)
+        grid.append(row)
+    return ExactMatrix(grid)
+
 
 # prime = 3 (mod 4), so x^2 = -1 has no root and GF(p^2) = GF(p)[i]
 _P = 1_000_000_007
@@ -102,7 +136,7 @@ def invert_exact(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square invertible matrix (Gauss-Jordan)."""
     n = m.rows
     a = [list(row) + list(ident_row) for row, ident_row in
-         zip(m.data, ExactMatrix.identity(n).data)]
+         zip(m.data, identity_matrix(n).data)]
     for col in range(n):
         sel = None
         for r in range(col, n):
@@ -156,8 +190,8 @@ def partial_trace(state: QuditState, keep_sites) -> ExactMatrix:
                 for q, s in zip(traced, td):
                     full1[q - 1] = s
                     full2[q - 1] = s
-                a = state.amplitude(tuple(full1))
-                b = state.amplitude(tuple(full2))
+                a = state.amplitudes.get(flat_index(full1, dims), ZERO)
+                b = state.amplitudes.get(flat_index(full2, dims), ZERO)
                 if not a.is_zero() and not b.is_zero():
                     acc = acc + a * b.conjugate()
             grid[r][c] = acc
@@ -170,9 +204,7 @@ def apply_dense(state: QuditState, matrices) -> dict:
     matrices: list of ExactMatrix, one per site in site order.
     Returns the output amplitude map (may be all-zero).
     """
-    full = matrices[0]
-    for m in matrices[1:]:
-        full = full.kron(m)
+    full = kron_all(matrices)
     D = full.rows
     out = {}
     for t in range(D):
@@ -202,7 +234,7 @@ def identity_dense(state: QuditState, ops: LocalOperatorSet, psi) -> bool:
             row_factors = kron_all([ops[q] for q in order[:l]])
             col_factors = kron_all([ops[q] for q in order[l:]])
             m_phi = coefficient_matrix(state, l, sigma).to_matrix()
-            rhs = row_factors.matmul(m_phi).matmul(col_factors.transpose())
+            rhs = row_factors.matmul(m_phi).matmul(transpose(col_factors))
             if psi is None:
                 lhs = ExactMatrix([[ZERO] * rhs.cols for _ in range(rhs.rows)])
             else:

@@ -19,11 +19,7 @@ from sloccrank.classifier import (
     signature,
     table1_suite,
 )
-from sloccrank.linalg import (
-    ExactMatrix,
-    rank_exact,
-    rank_numeric,
-)
+from sloccrank.linalg import rank_exact, rank_numeric
 from sloccrank.matricizer import (
     coefficient_matrix,
     optimal_split,
@@ -39,7 +35,7 @@ from sloccrank.slocc import (
 )
 from sloccrank.states import gen_dicke3, gen_ghz
 
-from oracles import partial_trace, rank_mod_prime
+from oracles import from_ints, partial_trace, rank_mod_prime
 
 SEED = 20260823
 
@@ -153,7 +149,7 @@ def test_c08_exact_numeric_rank_agreement():
     for _ in range(100):
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 12)
-        m = ExactMatrix.from_ints(
+        m = from_ints(
             [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         )
         if rank_numeric(m).rank != rank_exact(m).rank:

@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 
 from sloccrank.classifier import table1_suite
 from sloccrank.cli import main
-from sloccrank.states import load_state, save_state
+from sloccrank.states import load_state, state_to_json
 
 
 def run(capsys, *argv):
@@ -183,7 +185,7 @@ def test_classify_csv_of_the_reference_table_is_pinned(tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     paths = []
     for name, state, _ in table1_suite():
-        save_state(state, f"{name}.json")
+        Path(f"{name}.json").write_text(json.dumps(state_to_json(state), indent=1))
         paths.append(f"{name}.json")
     code, out, _ = run(capsys, "classify", "--l", "2", "--states", *paths)
     assert code == 0
@@ -281,6 +283,22 @@ def test_a_bad_state_file_is_named_in_its_error(tmp_path, capsys, text, message)
     code, out, err = run(capsys, "classify", "--states", str(good), str(bad), "--l", "1")
     assert code == 2 and out == ""
     assert err == f"error: {bad}: {message}\n"
+
+
+def test_a_state_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 whatever the locale: the fullwidth digit decodes,
+    # and the error is the schema's, with the path
+    path = tmp_path / "wide.json"
+    path.write_bytes('{"dims":[2,2],"amplitudes":[{"index":[0,0],"re":"１"}]}'.encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sloccrank.cli", "signature", "--state", str(path)],
+        env=env, capture_output=True, text=True, encoding="utf-8", check=False,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    # the ASCII stderr writes the digit as a backslash escape
+    assert proc.stderr == f"error: {path}: amplitude #0: malformed rational '\\uff11'\n"
 
 
 def test_directory_paths_exit_2(tmp_path, capsys):

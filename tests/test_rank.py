@@ -18,7 +18,15 @@ from sloccrank.linalg import (
 )
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 
-from oracles import det_rational, invert_exact, rank_mod_prime
+from oracles import (
+    det_rational,
+    from_ints,
+    identity_matrix,
+    invert_exact,
+    kron_by_digits,
+    rank_mod_prime,
+    transpose,
+)
 
 
 def random_int_matrix(rng, rows, cols, bound=5, complex_entries=True):
@@ -54,25 +62,32 @@ def test_matrix_construction_rejects_bad_shapes():
 
 
 def test_matmul_and_identity():
-    a = ExactMatrix.from_ints([[1, 2], [3, 4]])
-    i2 = ExactMatrix.identity(2)
+    a = from_ints([[1, 2], [3, 4]])
+    i2 = identity_matrix(2)
     assert a.matmul(i2) == a
     assert i2.matmul(a) == a
-    b = ExactMatrix.from_ints([[0, 1], [1, 0]])
-    assert a.matmul(b) == ExactMatrix.from_ints([[2, 1], [4, 3]])
+    b = from_ints([[0, 1], [1, 0]])
+    assert a.matmul(b) == from_ints([[2, 1], [4, 3]])
     with pytest.raises(ValueError):
-        a.matmul(ExactMatrix.from_ints([[1, 2, 3]]))
+        a.matmul(from_ints([[1, 2, 3]]))
 
 
 def test_kron_matches_block_structure():
-    a = ExactMatrix.from_ints([[1, 2], [3, 4]])
-    b = ExactMatrix.from_ints([[0, 5], [6, 7]])
-    k = a.kron(b)
+    a = from_ints([[1, 2], [3, 4]])
+    b = from_ints([[0, 5], [6, 7]])
+    k = kron_all([a, b])
     assert (k.rows, k.cols) == (4, 4)
     assert k.data[0][1] == ComplexRational(5)
     assert k.data[2][0] == ComplexRational(0)  # 3 * 0
     assert k.data[3][0] == ComplexRational(18)  # 3 * 6
-    assert kron_all([a, b]) == k
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_kron_all_matches_the_digit_route(shapes, rnd):
+    mats = [random_int_matrix(rnd, r, c) for r, c in shapes]
+    assert kron_all(mats) == kron_by_digits(mats)
 
 
 def test_dagger_conjugates():
@@ -83,17 +98,17 @@ def test_dagger_conjugates():
 # -- exact rank: pinned cases ----------------------------------------------
 
 def test_rank_zero_matrix():
-    res = rank_exact(ExactMatrix.from_ints([[0, 0], [0, 0]]))
+    res = rank_exact(from_ints([[0, 0], [0, 0]]))
     assert res.rank == 0
     assert res.pivots == ()
 
 
 def test_rank_identity():
-    assert rank_exact(ExactMatrix.identity(5)).rank == 5
+    assert rank_exact(identity_matrix(5)).rank == 5
 
 
 def test_rank_duplicate_rows_and_columns():
-    m = ExactMatrix.from_ints(
+    m = from_ints(
         [[1, 2, 1], [1, 2, 1], [2, 4, 2], [0, 1, 0]]
     )
     assert rank_exact(m).rank == 2
@@ -118,12 +133,12 @@ def test_rank_complex_dependence():
 
 def test_rank_near_singular_integer_case():
     # Determinant 1 despite large entries: exact path must say full rank
-    m = ExactMatrix.from_ints([[10**6, 10**6 - 1], [10**6 + 1, 10**6]])
+    m = from_ints([[10**6, 10**6 - 1], [10**6 + 1, 10**6]])
     assert rank_exact(m).rank == 2
 
 
 def test_pivots_locate_nonzero_entries():
-    m = ExactMatrix.from_ints([[0, 0, 0], [0, 3, 0], [0, 0, 0], [0, 1, 5]])
+    m = from_ints([[0, 0, 0], [0, 3, 0], [0, 0, 0], [0, 1, 5]])
     res = rank_exact(m)
     assert res.rank == 2
     for r, c in res.pivots:
@@ -295,7 +310,7 @@ def test_rank_agrees_with_modular_oracle(m):
 @settings(max_examples=60, deadline=None)
 def test_rank_invariant_under_transpose_and_scaling(m):
     r = rank_exact(m).rank
-    assert rank_exact(m.transpose()).rank == r
+    assert rank_exact(transpose(m)).rank == r
     f = ComplexRational(Fraction(-3, 7), Fraction(2, 5))
     scaled = ExactMatrix([[f * x for x in m.data[0]]] + m.data[1:])
     assert rank_exact(scaled).rank == r
@@ -325,12 +340,12 @@ def test_numeric_rank_matches_exact_on_small_int_matrices(m):
 # -- determinant and inverse -----------------------------------------------
 
 def test_det_examples():
-    assert det_exact(ExactMatrix.from_ints([[1, 2], [3, 4]])) == (
+    assert det_exact(from_ints([[1, 2], [3, 4]])) == (
         ComplexRational(-2)
     )
-    assert det_exact(ExactMatrix.from_ints([[1, 2], [2, 4]])).is_zero()
+    assert det_exact(from_ints([[1, 2], [2, 4]])).is_zero()
     with pytest.raises(ValueError):
-        det_exact(ExactMatrix.from_ints([[1, 2, 3]]))
+        det_exact(from_ints([[1, 2, 3]]))
 
 
 @given(st.integers(0, 10**6))
@@ -342,12 +357,12 @@ def test_inverse_round_trip(seed):
         m = random_int_matrix(rng, d, d, bound=3)
         if not det_exact(m).is_zero():
             break
-    assert m.matmul(invert_exact(m)) == ExactMatrix.identity(d)
+    assert m.matmul(invert_exact(m)) == identity_matrix(d)
 
 
 def test_invert_rejects_singular():
     with pytest.raises(ZeroDivisionError):
-        invert_exact(ExactMatrix.from_ints([[1, 2], [2, 4]]))
+        invert_exact(from_ints([[1, 2], [2, 4]]))
 
 
 @given(st.integers(0, 10**6))

@@ -7,6 +7,10 @@ member a class body in src/ binds: methods, properties, classmethods and
 dataclass fields. Tests do not count as readers, since a name kept alive
 only by its tests is dead in the program. A name counts as read when it
 appears as a loaded name, an attribute or a ``from ... import`` in a reader.
+An attribute read whose receiver names its class (``self.x`` or ``cls.x``
+inside a body of a class defined in src/, or ``K.x`` for such a class K)
+counts only for that class's member x, so a member is not kept alive by a
+namesake on another class.
 """
 
 import ast
@@ -37,18 +41,44 @@ def _sources(*dirs):
     return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
 
 
-def read_names(sources):
-    """Every name the sources load, read as an attribute or import by name."""
-    read = set()
+def _class_names(sources):
+    return {
+        node.name
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _walk_in_class(node, cls=None):
+    """Each node under node with the name of its innermost enclosing class."""
+    yield node, cls
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _walk_in_class(child, cls)
+
+
+def read_names(sources, classes=frozenset()):
+    """(bare, resolved): the names the sources load, read as an attribute or
+    import by name, and the (class, member) pairs read through a receiver
+    that names one of classes."""
+    bare, resolved = set(), set()
     for source in sources.values():
-        for node in ast.walk(ast.parse(source)):
+        for node, cls in _walk_in_class(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                receiver = node.value.id if isinstance(node.value, ast.Name) else None
+                if receiver in ("self", "cls") and cls in classes:
+                    resolved.add((cls, node.attr))
+                elif receiver in classes:
+                    resolved.add((receiver, node.attr))
+                else:
+                    bare.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    return read
+                bare.update(alias.name for alias in node.names)
+    return bare, resolved
 
 
 def unread_names(defining, readers, kind):
@@ -57,7 +87,7 @@ def unread_names(defining, readers, kind):
 
     Both map a module name to its source text.
     """
-    read = read_names(readers)
+    read, _ = read_names(readers)
     return sorted(
         (module, statement.lineno, name)
         for module, source in defining.items()
@@ -73,8 +103,9 @@ def unread_private_names(sources):
 
 def unread_members(defining, readers):
     """(module, line, "Class.member") of each non-dunder member a class body
-    of defining binds and no module of readers reads."""
-    read = read_names(readers)
+    of defining binds and no module of readers reads, by its bare name or
+    through a receiver that names that class."""
+    bare, resolved = read_names(readers, _class_names(defining))
     return sorted(
         (module, statement.lineno, f"{node.name}.{name}")
         for module, source in defining.items()
@@ -82,17 +113,10 @@ def unread_members(defining, readers):
         if isinstance(node, ast.ClassDef)
         for statement in node.body
         for name in _bound_names(statement)
-        if not name.startswith("__") and name not in read
+        if not name.startswith("__")
+        and name not in bare
+        and (node.name, name) not in resolved
     )
-
-
-# members that no program code reads, kept for a stated reason
-UNREAD_MEMBERS_KEPT = {
-    "QuditState.amplitude": "tests/oracles.py::partial_trace reads amplitudes "
-                            "by multi-index with it",
-    "ExactMatrix.from_ints": "the tests build their integer matrices with it "
-                             "(kept by ROADMAP item 4)",
-}
 
 
 def test_detector_sees_loads_attributes_and_imports():
@@ -137,6 +161,25 @@ def test_detector_sees_dead_class_members():
     assert unread_members(sources, sources) == [("a", 3, "Box.unread"), ("a", 6, "Box.dead")]
 
 
+def test_detector_resolves_class_receivers():
+    # B.identity reads A.identity only; self.x in B reads B.x, not A.x
+    sources = {
+        "a": (
+            "class A:\n"
+            "    x = 1\n"
+            "    @classmethod\n"
+            "    def identity(cls): return cls()\n"
+            "class B:\n"
+            "    x = 2\n"
+            "    @classmethod\n"
+            "    def identity(cls): return A.identity()\n"
+            "    def size(self): return self.x\n"
+        ),
+        "b": "from a import B\nB().size()\n",
+    }
+    assert unread_members(sources, sources) == [("a", 2, "A.x"), ("a", 8, "B.identity")]
+
+
 def test_every_private_name_in_src_is_read():
     sources = _sources("src")
     assert len(sources) > 5
@@ -150,9 +193,6 @@ def test_every_public_name_in_src_is_read_outside_tests():
 
 
 def test_every_class_member_in_src_is_read_outside_tests():
-    # the kept list cannot go stale: a kept name that is gone or has become
-    # read fails as a new unread member does
     src = _sources("src")
     readers = {**src, **_sources("scripts", "bench")}
-    unread = {name for _, _, name in unread_members(src, readers)}
-    assert unread == set(UNREAD_MEMBERS_KEPT)
+    assert unread_members(src, readers) == []
