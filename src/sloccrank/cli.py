@@ -29,7 +29,7 @@ from .matricizer import (
     optimal_split,
     split_capacity,
 )
-from .scalars import format_scalar
+from .scalars import ASCII_WHITESPACE, format_scalar
 from .slocc import run_monotone_trials, run_theorem1_trials
 from .states import (
     check_dims,
@@ -44,10 +44,11 @@ from .states import (
 
 def _integer(text: str) -> int:
     """An optional sign and ASCII digits, nothing else; int() alone would
-    also take "1_0" and non-ASCII digits such as "２"."""
-    if not re.fullmatch("[+-]?[0-9]+", text.strip()):
+    also take "1_0", non-ASCII digits such as "２" and non-ASCII spaces."""
+    body = text.strip(ASCII_WHITESPACE)
+    if not re.fullmatch("[+-]?[0-9]+", body):
         raise ValueError(f"malformed integer {text!r}")
-    return int(text)
+    return int(body)
 
 
 def _parse_dims(text: str):
@@ -58,7 +59,8 @@ def _write(text: str, path) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        # an argv path may hold surrogate escapes: write their bytes, as stdout does
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
 
 

@@ -22,7 +22,7 @@ from operator import itemgetter, sub
 from typing import List, Mapping, Sequence, Tuple
 
 from .linalg import ExactMatrix, distinct_support
-from .scalars import ComplexRational, ZERO
+from .scalars import ASCII_WHITESPACE, ComplexRational, ZERO
 from .states import QuditState, check_dims, reorder_indices
 
 
@@ -66,7 +66,7 @@ class QuditPermutation:
     def parse(cls, text: str) -> "QuditPermutation":
         """Inverse of label(): "I" (or "" or "()"), else "(r,c)(r,c)..." in
         ASCII digits; spaces are ignored."""
-        body = text.strip().replace(" ", "")
+        body = text.strip(ASCII_WHITESPACE).replace(" ", "")
         if body in ("I", "", "()"):
             return cls(())
         if not _TRANSPOSITIONS.fullmatch(body):

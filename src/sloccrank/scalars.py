@@ -2,10 +2,10 @@
 
 Stored as (a + b*i) / d with integer a, b and positive d, gcd(a, b, d) = 1.
 All arithmetic is exact, so rank decisions downstream never depend on a
-floating tolerance. Arithmetic and equality are only between
-ComplexRationals: an int or Fraction operand raises TypeError, and a value
-is != the int or Fraction it equals, so sum() needs start=ZERO. The
-constructor takes int or Fraction parts.
+floating tolerance. The arithmetic is + and * (no -, unary - or /), and it
+and == are only between ComplexRationals: an int or Fraction operand raises
+TypeError, and a value is != the int or Fraction it equals, so sum() needs
+start=ZERO. The constructor takes int or Fraction parts.
 """
 
 from __future__ import annotations
@@ -58,33 +58,12 @@ class ComplexRational:
             self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
         )
 
-    def __neg__(self):
-        return ComplexRational(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        if type(other) is not ComplexRational:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if type(other) is not ComplexRational:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return ComplexRational(
             a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d
-        )
-
-    def __truediv__(self, other):
-        if type(other) is not ComplexRational:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero ComplexRational")
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        norm = a2 * a2 + b2 * b2
-        return ComplexRational(
-            (a1 * a2 + b1 * b2) * other.d,
-            (b1 * a2 - a1 * b2) * other.d,
-            self.d * norm,
         )
 
     def conjugate(self) -> "ComplexRational":
@@ -127,6 +106,8 @@ def gaussian_pairs(values: Collection[ComplexRational]) -> Tuple[int, List[Tuple
 # the text grammar of a rational part; [0-9], not \d, which takes any
 # Unicode digit
 _UNSIGNED = "[0-9]+(?:/[0-9]+)?"
+# the spaces allowed around a number; a bare strip() also drops U+3000, U+00A0
+ASCII_WHITESPACE = " \t\r\n"
 _RATIONAL = re.compile(f"[+-]?{_UNSIGNED}")
 
 
@@ -137,7 +118,7 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q": an optional sign and ASCII digits, nothing else."""
-    text = text.strip()
+    text = text.strip(ASCII_WHITESPACE)
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}")
     try:

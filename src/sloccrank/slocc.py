@@ -192,6 +192,9 @@ def check_monotone_nonincrease(
 
 ENTRY_BOUND = 3  # random entries are a + bi with |a|, |b| <= ENTRY_BOUND
 MAX_TERMS = 8  # random sparse states have 1..MAX_TERMS nonzero amplitudes
+MAX_SITES = 5  # random dims have 2..MAX_SITES sites
+MAX_DIM = 4  # of dimension 2..MAX_DIM each
+MAX_TOTAL = 1024  # and prod(dims) <= MAX_TOTAL
 
 
 def _gaussian(rng: random.Random) -> ComplexRational:
@@ -253,16 +256,11 @@ def random_possibly_singular_set(
     )
 
 
-def random_dims(
-    rng: random.Random,
-    max_sites: int = 5,
-    max_dim: int = 4,
-    max_total: int = 1024,
-) -> Tuple[int, ...]:
+def random_dims(rng: random.Random) -> Tuple[int, ...]:
     while True:
-        n = rng.randint(2, max_sites)
-        dims = tuple(rng.randint(2, max_dim) for _ in range(n))
-        if prod(dims) <= max_total:
+        n = rng.randint(2, MAX_SITES)
+        dims = tuple(rng.randint(2, MAX_DIM) for _ in range(n))
+        if prod(dims) <= MAX_TOTAL:
             return dims
 
 

@@ -17,7 +17,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .scalars import ONE, ComplexRational, format_rational, parse_rational
+from .scalars import ASCII_WHITESPACE, ONE, ComplexRational, format_rational, parse_rational
 
 Dims = Tuple[int, ...]
 MultiIndex = Tuple[int, ...]
@@ -249,9 +249,9 @@ def state_to_json(state: QuditState) -> dict:
 
 def _parse_part(value):
     """parse_rational, with int() first for a plain integer literal; int()
-    also takes underscores and non-ASCII digits, which the grammar does not."""
-    text = str(value).strip()
-    if text.isascii() and "_" not in text:
+    also takes "_", non-ASCII digits and other spaces, which the grammar does not."""
+    text = str(value).strip(ASCII_WHITESPACE)
+    if text.isascii() and text.isprintable() and "_" not in text:
         try:
             return int(text)
         except ValueError:

@@ -9,8 +9,10 @@ at the top are what the tests construct their inputs with.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from sloccrank.linalg import ExactMatrix, kron_all
 from sloccrank.matricizer import coefficient_matrix, permutation_set
@@ -29,6 +31,15 @@ def identity_matrix(d: int) -> ExactMatrix:
 
 def identity_ops(dims) -> LocalOperatorSet:
     return LocalOperatorSet([identity_matrix(d) for d in dims])
+
+
+def small_dims(rng: random.Random, max_sites: int, max_dim: int, max_total: int):
+    """slocc.random_dims's draw under tighter caps, to keep a dense oracle small."""
+    while True:
+        n = rng.randint(2, max_sites)
+        dims = tuple(rng.randint(2, max_dim) for _ in range(n))
+        if prod(dims) <= max_total:
+            return dims
 
 
 def transpose(m: ExactMatrix) -> ExactMatrix:
@@ -106,6 +117,15 @@ def rank_mod_prime(m: ExactMatrix, p: int = _P) -> int:
     return rank
 
 
+def _neg(z: ComplexRational) -> ComplexRational:
+    return ComplexRational(-z.a, -z.b, z.d)
+
+
+def _inv(z: ComplexRational) -> ComplexRational:
+    """1/z = d(a - bi)/(a^2 + b^2) for z = (a + bi)/d != 0."""
+    return ComplexRational(z.a * z.d, -z.b * z.d, z.a * z.a + z.b * z.b)
+
+
 def det_rational(m: ExactMatrix) -> ComplexRational:
     """Determinant by Gaussian elimination over the complex rationals."""
     n = m.rows
@@ -121,14 +141,14 @@ def det_rational(m: ExactMatrix) -> ComplexRational:
             return ZERO
         if sel != col:
             a[col], a[sel] = a[sel], a[col]
-            det = -det
+            det = _neg(det)
         pivot = a[col][col]
         det = det * pivot
         for r in range(col + 1, n):
-            f = a[r][col] / pivot
+            f = _neg(a[r][col] * _inv(pivot))
             if f.is_zero():
                 continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            a[r] = [x + f * y for x, y in zip(a[r], a[col])]
     return det
 
 
@@ -146,13 +166,13 @@ def invert_exact(m: ExactMatrix) -> ExactMatrix:
         if sel is None:
             raise ZeroDivisionError("matrix is singular")
         a[col], a[sel] = a[sel], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
+        inv = _inv(a[col][col])
+        a[col] = [x * inv for x in a[col]]
         for r in range(n):
             if r == col or a[r][col].is_zero():
                 continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            f = _neg(a[r][col])
+            a[r] = [x + f * y for x, y in zip(a[r], a[col])]
     return ExactMatrix([row[n:] for row in a])
 
 

@@ -28,14 +28,13 @@ from sloccrank.matricizer import (
     split_capacity,
 )
 from sloccrank.slocc import (
-    random_dims,
     random_sparse_state,
     run_monotone_trials,
     run_theorem1_trials,
 )
 from sloccrank.states import gen_dicke3, gen_ghz
 
-from oracles import from_ints, partial_trace, rank_mod_prime
+from oracles import from_ints, partial_trace, rank_mod_prime, small_dims
 
 SEED = 20260823
 
@@ -128,7 +127,7 @@ def test_c07_reduced_density_consistency():
     checked = 0
     ok = True
     while checked < 50:
-        dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
+        dims = small_dims(rng, 4, 3, 81)
         state = random_sparse_state(dims, rng)
         for q in range(1, len(dims) + 1):
             rho = reduced_density(state, [q])

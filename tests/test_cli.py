@@ -62,7 +62,7 @@ def test_rank_and_signature_verbs(tmp_path, capsys):
     assert "label=F{3,3,3}@{I,(1,3),(1,4)}" in out
 
 
-@pytest.mark.parametrize("sigma", ["(１,３)", "(1_0,3)", "(1,3)()"])
+@pytest.mark.parametrize("sigma", ["(１,３)", "(1_0,3)", "(1,3)()", "\u3000(1,3)", "(1,3)\xa0"])
 def test_rank_rejects_a_malformed_sigma(tmp_path, capsys, sigma):
     path = tmp_path / "ghz.json"
     run(capsys, "gen", "--kind", "ghz", "--n", "4", "--out", str(path))
@@ -72,7 +72,7 @@ def test_rank_rejects_a_malformed_sigma(tmp_path, capsys, sigma):
     assert f"error: cannot parse permutation {sigma!r}" in err
 
 
-@pytest.mark.parametrize("dims", ["２,2,1_0", "2,2,1_0", "2,٣", "2,2.0"])
+@pytest.mark.parametrize("dims", ["２,2,1_0", "2,2,1_0", "2,٣", "2,2.0", "2,\u30002", "2\xa0,2"])
 def test_capacity_rejects_integers_outside_the_ascii_grammar(capsys, dims):
     code, out, err = run(capsys, "capacity", "--dims", dims)
     assert code == 2 and out == ""
@@ -80,7 +80,7 @@ def test_capacity_rejects_integers_outside_the_ascii_grammar(capsys, dims):
 
 
 @pytest.mark.parametrize("verb", ["signature", "rank", "matrix"])
-@pytest.mark.parametrize("l", ["２", "1_0", "2.0"])
+@pytest.mark.parametrize("l", ["２", "1_0", "2.0", "\u20022", "\x0b2"])
 def test_split_rejects_integers_outside_the_ascii_grammar(tmp_path, capsys, verb, l):
     path = tmp_path / "ghz.json"
     run(capsys, "gen", "--kind", "ghz", "--n", "4", "--out", str(path))
@@ -91,6 +91,8 @@ def test_split_rejects_integers_outside_the_ascii_grammar(tmp_path, capsys, verb
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--kind", "ghz", "--n", "３"],
+    ["gen", "--kind", "ghz", "--n", "\u30003"],
+    ["gen", "--kind", "ghz", "--n", "3\xa0"],
     ["gen", "--kind", "ghz", "--n", "3", "--d", "1_0"],
     ["verify", "theorem1", "--trials", "２", "--seed", "1"],
     ["verify", "theorem1", "--trials", "2", "--seed", "1_0"],
@@ -116,6 +118,16 @@ def test_theorem_checks_script_reads_integers_with_the_cli_grammar(
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "sloccrank verify: error:" in captured.err
+
+
+def test_integers_and_sigma_allow_surrounding_ascii_whitespace(tmp_path, capsys):
+    code, out, _ = run(capsys, "capacity", "--dims", " 2,\t2 ,2\n")
+    assert code == 0 and out.splitlines()[-1] == "optimal_l=1"
+    path = tmp_path / "ghz.json"
+    run(capsys, "gen", "--kind", "ghz", "--n", " 4\t", "--out", str(path))
+    code, out, _ = run(capsys, "rank", "--state", str(path), "--l", "2 ",
+                       "--sigma", " (1,3)\r\n")
+    assert code == 0 and out == "rank=2 method=exact l=2 sigma=(1,3)\n"
 
 
 def test_matrix_dump_format(tmp_path, capsys):
@@ -330,3 +342,22 @@ def test_rank_numeric_on_huge_amplitude_exits_2(tmp_path, capsys):
     code, out, _ = run(capsys, "rank", "--state", str(path), "--l", "1")
     assert code == 0
     assert "rank=2" in out
+
+
+def test_classify_out_holds_the_bytes_stdout_prints_under_an_ascii_locale(tmp_path):
+    # under an ASCII locale a non-ASCII path reaches argv as surrogate
+    # escapes; --out must write them back as the same bytes stdout prints
+    assert main(["gen", "--kind", "ghz", "--n", "3", "--out", str(tmp_path / "\u00e9.json")]) == 0
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    outs = []
+    for extra in ([], ["--out", "x.csv"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sloccrank.cli", "classify",
+             "--states", "\u00e9.json", "--l", "1", *extra],
+            cwd=tmp_path, env=env, capture_output=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert "\u00e9.json".encode() in outs[0]
+    assert outs[1] == b"" and (tmp_path / "x.csv").read_bytes() == outs[0]

@@ -126,7 +126,7 @@ def test_rank_rational_entries():
 
 def test_rank_complex_dependence():
     i = ComplexRational(0, 1)
-    m = ExactMatrix([[ONE, i], [i, -ONE]])  # row2 = i * row1
+    m = ExactMatrix([[ONE, i], [i, ComplexRational(-1)]])  # row2 = i * row1
     assert rank_exact(m).rank == 1
     assert rank_numeric(m).rank == 1
 
@@ -176,7 +176,7 @@ def sparse_matrices(draw, square=False):
         for r, c in enumerate(rng.sample(range(cols), cols)):
             cells[r][c] = ONE
     else:
-        units = [ONE, -ONE, ComplexRational(0, 1), ComplexRational(0, -1)]
+        units = [ONE, ComplexRational(-1), ComplexRational(0, 1), ComplexRational(0, -1)]
         for pos in rng.sample(range(rows * cols), rng.randint(0, rows * cols * 3 // 10)):
             cells[pos // cols][pos % cols] = rng.choice(units)
     return ExactMatrix(cells)

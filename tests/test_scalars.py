@@ -47,14 +47,15 @@ def test_basic_arithmetic_examples():
     assert i * i == ComplexRational(-1)
     half = ComplexRational(Fraction(1, 2))
     assert half + half == ONE
-    assert (ONE + i) * (ONE - i) == ComplexRational(2)
-    assert ONE / i == -i
     assert complex(ComplexRational(1, -2, 4)) == complex(0.25, -0.5)
 
 
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
+def test_there_is_no_subtraction_negation_or_division():
+    # the program only adds and multiplies: -, unary - and / are not defined
+    for op in (lambda: -ONE, lambda: ONE - ONE, lambda: ONE / ONE):
+        with pytest.raises(TypeError):
+            op()
+    assert bool(ZERO) is False and bool(ONE) is True
 
 
 def test_int_and_fraction_operands_raise_type_error():
@@ -90,13 +91,6 @@ def test_mul_matches_fraction_oracle(x, y):
     p = x * y
     assert p.re == x.re * y.re - x.im * y.im
     assert p.im == x.re * y.im + x.im * y.re
-
-
-@given(scalars, scalars)
-def test_div_inverts_mul(x, y):
-    if y.is_zero():
-        return
-    assert (x / y) * y == x
 
 
 @given(scalars)

