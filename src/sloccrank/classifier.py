@@ -171,9 +171,11 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
 
     A Dicke state is invariant under every permutation of sites, so every
     sigma in the set yields the same matrix up to row/column relabeling; the
-    rank is computed once per tuple and replicated. It is the rank of the
-    merged occupation-class matrix (symmetric_matrix), so no state and none
-    of its levels**n terms are built.
+    rank is computed once and replicated. It is the rank of the merged
+    occupation-class matrix (symmetric_matrix), so no state and none of its
+    levels**n terms are built. A level relabeling P x ... x P maps |D_c> to
+    |D_pi(c)> and permutes that matrix's rows and columns, so one call ranks
+    each multiset of counts once, as its sorted tuple, for all its arrangements.
     """
     if type(levels) is not int or type(n) is not int:  # no float, bool or str
         raise TypeError(f"scan needs int levels and n, got levels={levels!r}, n={n!r}")
@@ -187,11 +189,15 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
         )
     l = n // 2
     pset = permutation_set(n, l)
+    orbit: Dict[Tuple[int, ...], Tuple[Fraction, Tuple[int, ...]]] = {}
     rows: List[ScanRow] = []
     for occ in _occupation_tuples(levels, n):
         counts = (n - sum(occ),) + occ
-        r = rank_exact(symmetric_matrix(n, l, {counts: ONE})).rank
-        rows.append(ScanRow(counts, _occupation_variance(counts), (r,) * len(pset)))
+        key = tuple(sorted(counts))
+        if key not in orbit:
+            r = rank_exact(symmetric_matrix(n, l, {key: ONE})).rank
+            orbit[key] = (_occupation_variance(key), (r,) * len(pset))
+        rows.append(ScanRow(counts, *orbit[key]))
     return pset, rows
 
 

@@ -23,7 +23,7 @@ from typing import List, Mapping, Sequence, Tuple
 
 from .linalg import ExactMatrix, distinct_support
 from .scalars import ASCII_WHITESPACE, ComplexRational, ZERO
-from .states import QuditState, check_dims, reorder_indices
+from .states import QuditState, ZeroStateError, check_dims, reorder_indices
 
 
 _TRANSPOSITION = re.compile(r"\(([0-9]+),([0-9]+)\)")
@@ -214,8 +214,17 @@ def symmetric_matrix(
     size-l tuples a <= some c, columns the size-(n-l) b <= some c, lex order.
     """
     _check_split(n, l)
-    if any(sum(c) != n for c in coeffs):
-        raise ValueError(f"every occupation tuple must sum to n={n}")
+    for c, alpha in coeffs.items():
+        if type(c) is not tuple or any(type(k) is not int for k in c):
+            raise TypeError(f"occupation tuple {c!r} is not a tuple of ints")
+        if type(alpha) is not ComplexRational:
+            raise TypeError(f"coefficient of {c} is a {type(alpha).__name__}, "
+                            "not a ComplexRational")
+        if len(c) < 2 or len(c) != len(next(iter(coeffs))) or min(c) < 0 or sum(c) != n:
+            raise ValueError(f"occupation tuple {c} must hold as many counts >= 0 "
+                             f"as every other tuple, at least 2, summing to n={n}")
+    if all(alpha.is_zero() for alpha in coeffs.values()):
+        raise ZeroStateError("symmetric state has no nonzero coefficient")
     rows = sorted({a for c in coeffs for a in _sub_occupations(c, l)})
     cols = sorted({b for c in coeffs for b in _sub_occupations(c, n - l)})
     col_of = {b: j for j, b in enumerate(cols)}

@@ -1,8 +1,13 @@
 """Rank signatures, family labels, the reference table, Dicke scans."""
 
 import hashlib
+import os
 import random
+import statistics
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +26,8 @@ from sloccrank.classifier import (
     table1_suite,
 )
 from sloccrank.linalg import distinct_support, rank_exact, rank_numeric
-from sloccrank.matricizer import coefficient_matrix, permutation_set
-from sloccrank.scalars import ComplexRational
+from sloccrank.matricizer import coefficient_matrix, permutation_set, symmetric_matrix
+from sloccrank.scalars import ONE, ComplexRational
 from sloccrank.slocc import apply_local, random_ilo_set
 from sloccrank.states import QuditState, gen_dicke3, gen_dicke4, gen_ghz, gen_w
 
@@ -240,6 +245,36 @@ def test_dicke_scan_largest_accepted_n(levels, n, pinned):
         assert set(row.ranks) == {expected}, row.occupations
 
 
+@pytest.mark.parametrize("levels,n", [(3, 9), (4, 8), (3, 10)])
+def test_dicke_scan_rows_match_their_own_occupation_class_matrix(levels, n):
+    # the scan ranks one arrangement per multiset; the kernel checks every
+    # arrangement on its own counts, so a wrong orbit premise would show here
+    _, rows = dicke_scan(levels, n)
+    for row in rows:
+        r = rank_exact(symmetric_matrix(n, n // 2, {row.occupations: ONE})).rank
+        assert set(row.ranks) == {r}, row.occupations
+        assert row.variance == statistics.pvariance(map(Fraction, row.occupations))
+
+
+@pytest.mark.parametrize(
+    "levels,n,eliminations",
+    [(3, 9, 12), (4, 8, 15), (3, 10, 14), (3, 14, 24), (4, 12, 34)],
+)
+def test_dicke_scan_eliminates_once_per_multiset(monkeypatch, levels, n, eliminations):
+    # one elimination per multiset of counts (a partition of n into at most
+    # `levels` parts), not one per arrangement
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rank_exact(m)
+
+    monkeypatch.setattr(sloccrank.classifier, "rank_exact", counting)
+    _, rows = dicke_scan(levels, n)
+    assert len(calls) == len({tuple(sorted(row.occupations)) for row in rows})
+    assert len(calls) == eliminations
+
+
 def test_dicke_scan_rejects_out_of_range():
     with pytest.raises(ValueError):
         dicke_scan(5, 4)
@@ -287,6 +322,34 @@ _FIGURE_CSV_SHA256 = {
 def test_figure_scan_csvs_are_pinned(levels, n):
     csv = scan_to_csv(levels, *dicke_scan(levels, n))
     assert hashlib.sha256(csv.encode()).hexdigest() == _FIGURE_CSV_SHA256[levels, n]
+
+
+# sha256 of the CSVs of the benchmark's other scan and the largest accepted scans
+_LARGE_CSV_SHA256 = {
+    (3, 10): "a8dec4902e831f620ddafa9ef2b301262e6913a9ad66824f6a365957c5a36b7f",
+    (3, 14): "4abc36ac83e402307299e160950f428391eb12eea3dc6c19b8871c18acd1850e",
+    (4, 12): "55c52b1f83b1a8eab862a1e6e1ceb9026eb364be0b3bd9c90f847bf0e351c86c",
+}
+
+
+@pytest.mark.parametrize("levels,n", sorted(_LARGE_CSV_SHA256))
+def test_large_scan_csvs_are_pinned(levels, n):
+    csv = scan_to_csv(levels, *dicke_scan(levels, n))
+    assert hashlib.sha256(csv.encode()).hexdigest() == _LARGE_CSV_SHA256[levels, n]
+
+
+def test_figure_script_writes_the_pinned_csvs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_dicke_figures.py"),
+         "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for (levels, n), digest in _FIGURE_CSV_SHA256.items():
+        data = (tmp_path / f"dicke{levels}_n{n}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_scan_csv_formats_each_ranks_and_label_pair():

@@ -19,9 +19,9 @@ from sloccrank.matricizer import (
     split_capacity,
     symmetric_matrix,
 )
-from sloccrank.scalars import ComplexRational, ONE
+from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import random_sparse_state
-from sloccrank.states import QuditState, flat_index, gen_ghz
+from sloccrank.states import QuditState, ZeroStateError, flat_index, gen_ghz
 
 from oracles import from_ints, partial_trace, rank_mod_prime, symmetric_terms, transpose
 
@@ -246,6 +246,37 @@ def test_symmetric_matrix_of_one_dicke_class_is_a_permutation():
         symmetric_matrix(4, 2, {(2, 1, 0): ONE})
     with pytest.raises(ValueError):
         symmetric_matrix(4, 4, {(2, 1, 1): ONE})
+
+
+@pytest.mark.parametrize(
+    "coeffs,error",
+    [
+        # a 2-level tuple next to a 3-level one would be read against its prefix
+        ({(2, 1, 1): ONE, (3, 1): ONE}, ValueError),
+        ({(3, -1, 2): ONE}, ValueError),
+        ({(4,): ONE}, ValueError),
+        ({(True, 3): ONE}, TypeError),
+        ({(2.0, 2): ONE}, TypeError),
+        ({"22": ONE}, TypeError),
+        ({2: ONE}, TypeError),
+        ({(2, 2): 1}, TypeError),
+        ({(2, 2): 1j}, TypeError),
+        ({}, ZeroStateError),
+        ({(2, 2): ZERO}, ZeroStateError),
+        ({(2, 2): ZERO, (3, 1): ZERO}, ZeroStateError),
+    ],
+    ids=repr,
+)
+def test_symmetric_matrix_validates_its_occupation_map(coeffs, error):
+    with pytest.raises(error):
+        symmetric_matrix(4, 2, coeffs)
+
+
+@pytest.mark.parametrize("bad", [(3, 1), (3, -1, 2), (1, 1, 1)])
+def test_symmetric_matrix_value_errors_name_the_tuple(bad):
+    with pytest.raises(ValueError) as info:
+        symmetric_matrix(4, 2, {(2, 1, 1): ONE, bad: ONE})
+    assert str(bad) in str(info.value) and "empty" not in str(info.value)
 
 
 @st.composite
