@@ -322,8 +322,14 @@ def load_state(path) -> QuditState:
     """The state in a JSON file; a format or zero-state error names the path."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return state_from_json(json.load(fh, object_pairs_hook=_unique_keys))
-        except json.JSONDecodeError as exc:
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
+        except StateFormatError as exc:  # a repeated key
+            raise StateFormatError(f"{path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bad syntax, bytes that are not UTF-8, an integer longer than
+            # int()'s digit limit, or arrays nested deeper than the decoder goes
             raise StateFormatError(f"{path}: invalid JSON: {exc}") from exc
-        except (StateFormatError, ZeroStateError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+    try:
+        return state_from_json(obj)
+    except (StateFormatError, ZeroStateError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

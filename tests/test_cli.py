@@ -297,6 +297,25 @@ def test_a_bad_state_file_is_named_in_its_error(tmp_path, capsys, text, message)
     assert err == f"error: {bad}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b"\xff\xfe" + '{"dims":[2],"amplitudes":[]}'.encode("utf-16-le"),
+         "'utf-8' codec can't decode"),
+        (b'{"dims":[2],"amplitudes":[{"index":[0],"re":' + b"1" * 5000 + b"}]}",
+         "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep-nesting", "utf-16-bom", "5000-digit-int"],
+)
+def test_an_unparseable_state_file_exits_2_and_is_named(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "signature", "--state", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: invalid JSON: ") and message in err
+
+
 def test_a_state_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     # JSON text is UTF-8 whatever the locale: the fullwidth digit decodes,
     # and the error is the schema's, with the path

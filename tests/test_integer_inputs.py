@@ -16,7 +16,6 @@ from sloccrank.matricizer import (
     optimal_split,
     reduced_density,
     split_capacity,
-    symmetric_matrix,
 )
 from sloccrank.scalars import ONE
 from sloccrank.states import (
@@ -32,7 +31,7 @@ from sloccrank.states import (
     permute_qudits,
 )
 
-from oracles import identity_ops
+from oracles import identity_ops, symmetric_matrix
 
 GHZ = gen_ghz(3, 3)
 OPS = identity_ops((2, 3))

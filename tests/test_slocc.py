@@ -18,9 +18,10 @@ from sloccrank.matricizer import (
     CoefficientMatrix,
     QuditPermutation,
     coefficient_matrix,
+    optimal_split,
     permutation_set,
 )
-from sloccrank.scalars import ComplexRational, ZERO
+from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import (
     LocalOperatorSet,
     ZeroResultError,
@@ -40,9 +41,12 @@ from sloccrank.slocc import (
 from sloccrank.states import (
     QuditState,
     flat_index,
+    gen_dicke3,
+    gen_dicke4,
     gen_ghz,
     gen_w,
     multiindex_of,
+    permute_qudits,
 )
 
 from oracles import (
@@ -444,6 +448,15 @@ def test_projector_collapses_ranks():
     assert all(b == 2 and a == 1 for b, a in pairs.values())
 
 
+def test_monotone_check_fails_a_rank_that_rises():
+    # GHZ is no local image of a product state: each of its ranks, 2, is one
+    # above the product state's
+    product_state = QuditState((2, 2, 2), {0: ONE})
+    ok, pairs = check_monotone_nonincrease(product_state, gen_ghz(3, 2))
+    assert not ok
+    assert set(pairs.values()) == {(1, 2)}
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_monotone_never_increases(seed):
@@ -603,6 +616,68 @@ def test_monotone_harness_checks_invertibility_once_per_trial(monkeypatch):
     monkeypatch.setattr(LocalOperatorSet, "invertible", property(counting))
     records = run_monotone_trials(6, seed=20260824)
     assert len(calls) == len(records)
+
+
+def _collapse(state, ops):
+    """|0...0> on the state's dims, whatever the operators: rank 1 at every cut."""
+    return QuditState(state.dims, {0: ONE})
+
+
+def test_theorem1_harness_fails_a_psi_that_lowers_the_signature(monkeypatch):
+    monkeypatch.setattr(sloccrank.slocc, "apply_local", _collapse)
+    records = run_theorem1_trials(10, seed=20260823)
+    for r in records:
+        l_opt = optimal_split(r["dims"])
+        before = [b for key, (b, _) in r["ranks"].items() if key.startswith(f"l={l_opt} ")]
+        assert r["signature_ok"] == (max(before) == 1), r["trial"]
+        assert r["result"] == "fail"
+    assert not all(r["signature_ok"] for r in records)
+
+
+def test_monotone_harness_fails_invertible_ops_that_lower_a_rank(monkeypatch):
+    monkeypatch.setattr(sloccrank.slocc, "apply_local", _collapse)
+    # seed 2 draws invertible operators in trials 0, 2 and 6
+    records = run_monotone_trials(20, seed=2)
+    for r in records:
+        lowered = any(b > a for b, a in r["ranks"].values())
+        want = "fail" if r["invertible"] and lowered else "pass"
+        assert r["result"] == want, r["trial"]
+    assert any(r["result"] == "fail" for r in records)
+
+
+def _sparse_state(seed):
+    rng = random.Random(seed)
+    return random_sparse_state(small_dims(rng, 5, 3, 243), rng)
+
+
+_STRUCTURED = [
+    gen_ghz(3, 2), gen_ghz(4, 3), gen_ghz(5, 2), gen_w(3), gen_w(5),
+    gen_dicke3(4, 1, 1), gen_dicke3(5, 2, 2), gen_dicke4(4, 1, 1, 1),
+    # GHZ on sites 1-3 times |00>: symmetric in two blocks of sites
+    QuditState((2,) * 5, {0: ONE, flat_index((1, 1, 1, 0, 0), (2,) * 5): ONE}),
+]
+
+
+@given(st.one_of(st.integers(0, 10**6).map(_sparse_state), st.sampled_from(_STRUCTURED)),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_rank_table_obeys_the_rank_laws_of_an_independent_oracle(state, data):
+    # every (l, sigma) of rank_table against a dense rank of its own cut, on
+    # the state and on a relabeling of its sites; catches a memo key that
+    # merges distinct bipartitions
+    n = state.n
+    ranks = oracles.all_bipartition_ranks(state)
+    sites = frozenset(range(1, n + 1))
+    assert all(r == ranks[sites - s] for s, r in ranks.items())  # r(S) = r(S^c)
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    # site q of permute_qudits(state, perm) is the state's site perm[q - 1]
+    relabeled = permute_qudits(state, perm)
+    for psi, site in ((state, lambda q: q), (relabeled, lambda q: perm[q - 1])):
+        table = rank_table(psi)
+        for l in range(1, n):
+            for sigma in permutation_set(n, l):
+                rows = frozenset(map(site, sigma.site_order(n)[:l]))
+                assert table[(l, sigma.label())] == ranks[rows], (l, sigma.label())
 
 
 def _records_sha256(records):
