@@ -61,9 +61,12 @@ MUTANTS = [
     ("sigma_ranks keys a rank by the size of the side holding site 1", "classifier.py",
      "key = frozenset(order[:l] if 1 in order[:l] else order[l:])",
      "key = len(order[:l] if 1 in order[:l] else order[l:])"),
-    ("dicke_scan counts sub-occupations of size l + 1", "classifier.py",
-     "rank = _sub_occupation_count(counts, l)",
-     "rank = _sub_occupation_count(counts, l + 1)"),
+    ("dicke_scan ranks the occupation-class matrix at split l + 1", "classifier.py",
+     "symmetric_matrix(n, l, {key: ONE})",
+     "symmetric_matrix(n, l + 1, {key: ONE})"),
+    ("dicke_scan's orbit memo hands a row another multiset's rank", "classifier.py",
+     "rows.append(ScanRow(counts, *orbit[key]))",
+     "rows.append(ScanRow(counts, *orbit[max(orbit)]))"),
 ]
 
 

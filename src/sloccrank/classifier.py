@@ -20,6 +20,7 @@ from .matricizer import (
     coefficient_matrix,
     optimal_split,
     permutation_set,
+    symmetric_matrix,
 )
 from .scalars import ONE
 from .states import QuditState, flat_index
@@ -169,15 +170,12 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
     """Rank signatures of all Dicke occupation tuples at split l = n // 2.
 
     A Dicke state is invariant under every permutation of sites, so every
-    sigma in the set yields the same matrix up to row/column relabeling, and
-    every sigma gets one rank. Rows of that matrix that share a digit
-    multiset a are equal, and so are columns that share b; merging them keeps
-    the rank and leaves M[a, b] = 1 if a + b = c, else 0, over the size-l
-    tuples a <= c and the size-(n-l) tuples b <= c (c the counts). The rank
-    is the number of rows, #{a <= c : |a| = l}, counted with no matrix:
-    - each row a has exactly one nonzero, at b = c - a;
-    - that b is >= 0, <= c and has |b| = n - l, so it is a column;
-    - distinct rows give distinct b, so M is a square permutation matrix.
+    sigma in the set yields the same matrix up to row/column relabeling; the
+    rank is computed once and replicated. It is the rank of the merged
+    occupation-class matrix (symmetric_matrix), so no state and none of its
+    levels**n terms are built. A level relabeling P x ... x P maps |D_c> to
+    |D_pi(c)> and permutes that matrix's rows and columns, so one call ranks
+    each multiset of counts once, as its sorted tuple, for all its arrangements.
     """
     if type(levels) is not int or type(n) is not int:  # no float, bool or str
         raise TypeError(f"scan needs int levels and n, got levels={levels!r}, n={n!r}")
@@ -191,21 +189,16 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
         )
     l = n // 2
     pset = permutation_set(n, l)
+    orbit: Dict[Tuple[int, ...], Tuple[Fraction, Tuple[int, ...]]] = {}
     rows: List[ScanRow] = []
     for occ in _occupation_tuples(levels, n):
         counts = (n - sum(occ),) + occ
-        rank = _sub_occupation_count(counts, l)
-        rows.append(ScanRow(counts, _occupation_variance(counts), (rank,) * len(pset)))
+        key = tuple(sorted(counts))
+        if key not in orbit:
+            r = rank_exact(symmetric_matrix(n, l, {key: ONE})).rank
+            orbit[key] = (_occupation_variance(key), (r,) * len(pset))
+        rows.append(ScanRow(counts, *orbit[key]))
     return pset, rows
-
-
-def _sub_occupation_count(counts: Sequence[int], size: int) -> int:
-    """#{a <= counts entrywise : sum(a) == size}, the coefficient of x^size in
-    prod_k (1 + x + ... + x^counts[k]), one factor at a time."""
-    ways = [1] + [0] * size
-    for c in counts:
-        ways = [sum(ways[max(0, s - c):s + 1]) for s in range(size + 1)]
-    return ways[size]
 
 
 def _occupation_tuples(levels: int, n: int):

@@ -13,14 +13,12 @@ import random
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
-from operator import sub
-from typing import List, Mapping, Sequence, Tuple
 
 from sloccrank.linalg import ExactMatrix, kron_all
-from sloccrank.matricizer import _check_split, coefficient_matrix, permutation_set
+from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import LocalOperatorSet
-from sloccrank.states import QuditState, ZeroStateError, flat_index, multiindex_of
+from sloccrank.states import QuditState, flat_index, multiindex_of
 
 
 def from_ints(grid) -> ExactMatrix:
@@ -313,46 +311,6 @@ def permute_by_digits(state: QuditState, perm) -> QuditState:
     moved = reorder_by_digits(state.amplitudes, state.dims, perm)
     new_dims = tuple(state.dims[q - 1] for q in perm)
     return QuditState(new_dims, dict(zip(moved, state.amplitudes.values())))
-
-
-def _sub_occupations(bounds: Sequence[int], size: int) -> List[Tuple[int, ...]]:
-    """Occupation tuples a <= bounds (entrywise) with sum(a) == size, in lex order."""
-    ranges = (range(min(b, size) + 1) for b in bounds)
-    return [a for a in product(*ranges) if sum(a) == size]
-
-
-def symmetric_matrix(
-    n: int, l: int, coeffs: Mapping[Tuple[int, ...], ComplexRational]
-) -> ExactMatrix:
-    """Merged l | n-l matricization of the symmetric state sum_c coeffs[c] |D_c>.
-
-    |D_c> sums every digit string with level counts c. A row of the full
-    matricization depends only on its digits' counts a, a column only on b,
-    so the full matrix has the rank of M[a, b] = coeffs[a + b]: rows are the
-    size-l tuples a <= some c, columns the size-(n-l) b <= some c, lex order.
-    """
-    _check_split(n, l)
-    for c, alpha in coeffs.items():
-        if type(c) is not tuple or any(type(k) is not int for k in c):
-            raise TypeError(f"occupation tuple {c!r} is not a tuple of ints")
-        if type(alpha) is not ComplexRational:
-            raise TypeError(f"coefficient of {c} is a {type(alpha).__name__}, "
-                            "not a ComplexRational")
-        if len(c) < 2 or len(c) != len(next(iter(coeffs))) or min(c) < 0 or sum(c) != n:
-            raise ValueError(f"occupation tuple {c} must hold as many counts >= 0 "
-                             f"as every other tuple, at least 2, summing to n={n}")
-    if all(alpha.is_zero() for alpha in coeffs.values()):
-        raise ZeroStateError("symmetric state has no nonzero coefficient")
-    rows = sorted({a for c in coeffs for a in _sub_occupations(c, l)})
-    cols = sorted({b for c in coeffs for b in _sub_occupations(c, n - l)})
-    col_of = {b: j for j, b in enumerate(cols)}
-    grid = [[ZERO] * len(cols) for _ in rows]
-    for row, a in zip(grid, rows):
-        for c, alpha in coeffs.items():  # the one b with a + b = c, if any
-            j = col_of.get(tuple(map(sub, c, a)))
-            if j is not None:
-                row[j] = alpha
-    return ExactMatrix(grid)
 
 
 def symmetric_terms(levels: int, n: int, counts) -> set:

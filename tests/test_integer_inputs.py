@@ -16,6 +16,7 @@ from sloccrank.matricizer import (
     optimal_split,
     reduced_density,
     split_capacity,
+    symmetric_matrix,
 )
 from sloccrank.scalars import ONE
 from sloccrank.states import (
@@ -31,7 +32,7 @@ from sloccrank.states import (
     permute_qudits,
 )
 
-from oracles import identity_ops, symmetric_matrix
+from oracles import identity_ops
 
 GHZ = gen_ghz(3, 3)
 OPS = identity_ops((2, 3))

@@ -17,19 +17,13 @@ from sloccrank.matricizer import (
     permutation_set,
     reduced_density,
     split_capacity,
+    symmetric_matrix,
 )
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import random_sparse_state
 from sloccrank.states import QuditState, ZeroStateError, flat_index, gen_ghz
 
-from oracles import (
-    from_ints,
-    partial_trace,
-    rank_mod_prime,
-    symmetric_matrix,
-    symmetric_terms,
-    transpose,
-)
+from oracles import from_ints, partial_trace, rank_mod_prime, symmetric_terms, transpose
 
 dims_strategy = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
