@@ -49,9 +49,15 @@ MUTANTS = [
     ("Bareiss skips the division whenever prev_b == 0", "linalg.py",
      "if prev_b == 0 and prev_a == 1:",
      "if prev_b == 0:"),
-    ("GF(p) pivots not transposed for tall matrices", "linalg.py",
-     "pivots.append((c, k) if tall else (k, c))",
-     "pivots.append((k, c))"),
+    ("det_exact ignores the row-swap parity", "linalg.py",
+     "sign = -1 if swaps % 2 else 1",
+     "sign = 1"),
+    ("a GF(p) certificate reports the longer side", "linalg.py",
+     "return RankResult(min(m.rows, m.cols))",
+     "return RankResult(max(m.rows, m.cols))"),
+    ("the GF(p) pass skips a dependent line", "linalg.py",
+     "if not pv:\n            return False",
+     "if not pv:\n            continue"),
     ("sigma validation accepts c = l", "matricizer.py",
      "if not (1 <= r <= l and l < c <= n):",
      "if not (1 <= r <= l and l <= c <= n):"),

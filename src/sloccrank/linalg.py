@@ -87,20 +87,17 @@ def kron_all(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 @dataclass(frozen=True)
 class RankResult:
     rank: int
-    pivots: Tuple[Tuple[int, int], ...] = ()
 
 
-def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[int, int]]]:
+def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
     """Fraction-free elimination over Gaussian integers; first-nonzero pivoting.
 
-    Returns (rank, pivot positions in the given grid's coordinates).
+    Reduces rows in place and returns (rank, number of row swaps made).
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    row_ids = list(range(nrows))
-    piv = 0
+    piv = swaps = 0
     prev_a, prev_b = 1, 0  # previous pivot (Bareiss denominator)
-    pivots: List[Tuple[int, int]] = []
     for col in range(ncols):
         sel = None
         for r in range(piv, nrows):
@@ -112,9 +109,8 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
             continue
         if sel != piv:
             rows[piv], rows[sel] = rows[sel], rows[piv]
-            row_ids[piv], row_ids[sel] = row_ids[sel], row_ids[piv]
+            swaps += 1
         pa, pb = rows[piv][col]
-        pivots.append((row_ids[piv], col))
         pn = prev_a * prev_a + prev_b * prev_b
         prow = rows[piv]
         for r in range(piv + 1, nrows):
@@ -142,7 +138,7 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, List[Tuple[in
         prev_a, prev_b = pa, pb
         if piv == nrows:
             break
-    return piv, pivots
+    return piv, swaps
 
 
 def distinct_support(
@@ -179,36 +175,33 @@ def distinct_support(
 _P, _SQRT_M1 = 32749, 15645
 
 
-def _full_rank_mod_p(m: ExactMatrix):
-    """Pivots of a full rank over GF(p), or None if p does not show one.
+def _full_rank_mod_p(m: ExactMatrix) -> bool:
+    """True if the image of m over GF(p) has full rank min(rows, cols).
 
     (a + b*i)/d -> (a + b*s)/d mod p, s*s = -1, is a ring homomorphism from
-    Z[i][1/d] to GF(p) when p does not divide d, so the pivot minor, nonzero
-    mod p, is nonzero over Q(i). A dependence mod p proves nothing, as p may
-    divide a minor. The lines of the shorter side are mapped and reduced one
-    at a time; each kept line is scaled to pivot 1 and is zero left of it and
-    at every earlier pivot, so the pivot minor is triangular. A dependent
-    line ends the pass.
+    Z[i][1/d] to GF(p) when p does not divide d, so a minor nonzero mod p is
+    nonzero over Q(i): True proves full rank. False proves nothing, as p may
+    divide every maximal minor. The lines of the shorter side are mapped and
+    reduced one at a time; each kept line is scaled to pivot 1 and is zero
+    left of it and at every earlier pivot. A dependent line ends the pass.
     """
     p, s = _P, _SQRT_M1
-    tall = m.rows > m.cols
-    basis, pivots = [], []  # basis: (pivot column c, kept line from c on)
-    for k, line in enumerate(zip(*m.data) if tall else m.data):
+    basis = []  # (pivot column c, kept line from c on)
+    for line in zip(*m.data) if m.rows > m.cols else m.data:
         try:
             x = [(v.a + v.b * s) * (1 if v.d == 1 else pow(v.d, -1, p)) % p for v in line]
         except ValueError:  # p divides a denominator
-            return None
+            return False
         for c, tail in basis:  # a kept line is zero left of c: update x[c:]
             if f := x[c]:
                 x[c:] = [(u - f * w) % p for u, w in zip(x[c:], tail)]
         pv = next(filter(None, x), 0)
         if not pv:
-            return None
+            return False
         c = x.index(pv)  # the first nonzero
         inv = pow(pv, -1, p)
         basis.append((c, x[c:] if inv == 1 else [u * inv % p for u in x[c:]]))
-        pivots.append((c, k) if tall else (k, c))
-    return pivots
+    return True
 
 
 def rank_exact(m: ExactMatrix) -> RankResult:
@@ -216,12 +209,12 @@ def rank_exact(m: ExactMatrix) -> RankResult:
 
     A full rank over GF(p) certifies itself; any lower rank is Bareiss's.
     """
-    # a side of 1 or 2 (most identity-check matrices) costs Bareiss less than
-    # a failed GF(p) pass would add, so such a matrix skips the pass
-    pivots = _full_rank_mod_p(m) if min(m.rows, m.cols) > 2 else None
-    if pivots is None:
-        pivots = _bareiss_rank([gaussian_pairs(row)[1] for row in m.data])[1]
-    return RankResult(len(pivots), tuple(pivots))
+    # on dense matrices up to a side of 4 (the identity-check ones,
+    # classify_dense's 4x4 cuts) Bareiss alone costs about what a certifying
+    # pass does, and less than a pass that falls back to it
+    if min(m.rows, m.cols) > 4 and _full_rank_mod_p(m):
+        return RankResult(min(m.rows, m.cols))
+    return RankResult(_bareiss_rank([gaussian_pairs(row)[1] for row in m.data])[0])
 
 
 SVD_SAFETY = 100.0  # threshold factor of the numeric cross-check
@@ -245,17 +238,15 @@ def det_exact(m: ExactMatrix) -> ComplexRational:
     """Exact determinant (square matrices) via the Bareiss kernel.
 
     The last one-step Bareiss pivot of the row-scaled, row-permuted matrix is
-    its determinant; undo the permutation's sign and the row scales.
+    its determinant; each row swap flips the sign, and the row scales divide.
     """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     scales, rows = zip(*map(gaussian_pairs, m.data))
     grid = list(rows)
-    rank, pivots = _bareiss_rank(grid)
+    rank, swaps = _bareiss_rank(grid)
     if rank < m.rows:
         return ZERO
-    order = [r for r, _ in pivots]
-    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
-    sign = -1 if inversions % 2 else 1
+    sign = -1 if swaps % 2 else 1
     a, b = grid[-1][-1]
     return ComplexRational(sign * a, sign * b, prod(scales))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sloccrank.linalg
 from sloccrank.linalg import (
     _P,
     _SQRT_M1,
@@ -100,7 +101,6 @@ def test_dagger_conjugates():
 def test_rank_zero_matrix():
     res = rank_exact(from_ints([[0, 0], [0, 0]]))
     assert res.rank == 0
-    assert res.pivots == ()
 
 
 def test_rank_identity():
@@ -137,12 +137,9 @@ def test_rank_near_singular_integer_case():
     assert rank_exact(m).rank == 2
 
 
-def test_pivots_locate_nonzero_entries():
+def test_rank_skips_zero_rows_and_columns():
     m = from_ints([[0, 0, 0], [0, 3, 0], [0, 0, 0], [0, 1, 5]])
-    res = rank_exact(m)
-    assert res.rank == 2
-    for r, c in res.pivots:
-        assert not m.data[r][c].is_zero()
+    assert rank_exact(m).rank == 2
 
 
 @st.composite
@@ -214,23 +211,12 @@ def dense_matrices(draw):
     return ExactMatrix(grid)
 
 
-def assert_pivot_minor_is_nonzero(m, res):
-    rows = sorted({r for r, _ in res.pivots})
-    cols = sorted({c for _, c in res.pivots})
-    assert len(rows) == len(cols) == res.rank
-    if res.rank:
-        minor = ExactMatrix([[m.data[r][c] for c in cols] for r in rows])
-        assert not det_exact(minor).is_zero()
-
-
 @given(
     st.one_of(matrices_with_zero_and_repeated_lines(), sparse_matrices(), dense_matrices())
 )
 @settings(max_examples=300, deadline=None)
-def test_pivots_select_a_nonzero_minor_of_rank_size(m):
-    res = rank_exact(m)
-    assert res.rank == rank_mod_prime(m)
-    assert_pivot_minor_is_nonzero(m, res)
+def test_rank_matches_the_oracle_on_sparse_dense_and_repeated_line_matrices(m):
+    assert rank_exact(m).rank == rank_mod_prime(m)
 
 
 # -- the GF(p) full-rank certificate and its fallback ------------------------
@@ -239,6 +225,16 @@ def test_certificate_prime_has_a_square_root_of_minus_one():
     assert _P % 4 == 1 and _P < 2**15
     assert all(_P % k for k in range(2, int(_P**0.5) + 1))
     assert _SQRT_M1 * _SQRT_M1 % _P == _P - 1
+
+
+def padded_to_5(m):
+    """m with an identity block added below and right of it, 5x5 in all, so
+    rank_exact runs the GF(p) pass on it; the rank grows by 5 - m.rows."""
+    k = 5 - m.rows
+    return ExactMatrix(
+        [row + [ZERO] * k for row in m.data]
+        + [[ZERO] * m.cols + [ONE if j == i else ZERO for j in range(k)] for i in range(k)]
+    )
 
 
 def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss():
@@ -253,10 +249,9 @@ def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss():
             [ComplexRational(0, 1), ZERO, ComplexRational(5), ONE],
         ]
     )
-    assert _full_rank_mod_p(m) is None
-    res = rank_exact(m)
-    assert res.rank == rank_mod_prime(m) == 4
-    assert_pivot_minor_is_nonzero(m, res)
+    m = padded_to_5(m)
+    assert _full_rank_mod_p(m) is False
+    assert rank_exact(m).rank == rank_mod_prime(m) == 5
 
 
 def test_denominator_divisible_by_p_falls_back_to_bareiss():
@@ -271,22 +266,34 @@ def test_denominator_divisible_by_p_falls_back_to_bareiss():
             [ZERO, ZERO, ONE, ZERO],
         ]
     )
-    assert _full_rank_mod_p(m) is None
-    res = rank_exact(m)
-    assert res.rank == rank_mod_prime(m) == 4
-    assert_pivot_minor_is_nonzero(m, res)
+    m = padded_to_5(m)
+    assert _full_rank_mod_p(m) is False
+    assert rank_exact(m).rank == rank_mod_prime(m) == 5
 
 
 def test_certificate_reduces_lines_whose_pivots_are_out_of_column_order():
-    # rank 2; the first row's pivot is column 1, the second row's column 0,
-    # and the third row has a zero under the first pivot. A pass that scaled
-    # only x[c:] when cross-multiplying called this matrix full rank.
+    # a 3x3 block of rank 2; the first row's pivot is column 1, the second
+    # row's column 0, and the third row has a zero under the first pivot. A
+    # pass that scaled only x[c:] when cross-multiplying called it full rank.
     a, b = ComplexRational(1, -1), ComplexRational(-1, -1)
-    m = ExactMatrix([[ZERO, b, a], [b, a, ZERO], [a, ZERO, a]])
-    assert _full_rank_mod_p(m) is None
-    res = rank_exact(m)
-    assert res.rank == rank_mod_prime(m) == 2
-    assert_pivot_minor_is_nonzero(m, res)
+    m = padded_to_5(ExactMatrix([[ZERO, b, a], [b, a, ZERO], [a, ZERO, a]]))
+    assert _full_rank_mod_p(m) is False
+    assert rank_exact(m).rank == rank_mod_prime(m) == 4
+
+
+def test_certificate_runs_only_from_a_side_of_5(monkeypatch):
+    # the pass runs only where it can pay: from a shorter side of 5
+    calls = []
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return _full_rank_mod_p(m)
+
+    monkeypatch.setattr(sloccrank.linalg, "_full_rank_mod_p", counting)
+    assert rank_exact(identity_matrix(4)).rank == 4
+    assert calls == []
+    assert rank_exact(identity_matrix(5)).rank == 5
+    assert calls == [(5, 5)]
 
 
 def test_rank_exact_deterministic():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 from math import lcm, prod
 
 import pytest
@@ -669,6 +670,16 @@ def test_rank_table_obeys_the_rank_laws_of_an_independent_oracle(state, data):
     ranks = oracles.all_bipartition_ranks(state)
     sites = frozenset(range(1, n + 1))
     assert all(r == ranks[sites - s] for s, r in ranks.items())  # r(S) = r(S^c)
+    for s, r in ranks.items():
+        row_dims = [state.dims[q - 1] for q in s]
+        assert r <= min(prod(row_dims), prod(state.dims) // prod(row_dims)), s
+    for s, t in combinations(ranks, 2):
+        if s & t or s | t not in ranks:
+            continue
+        # disjoint S and T with S u T a proper cut
+        union = ranks[s | t]
+        assert union <= ranks[s] * ranks[t], (s, t)
+        assert ranks[s] <= ranks[t] * union and ranks[t] <= ranks[s] * union, (s, t)
     perm = data.draw(st.permutations(range(1, n + 1)))
     # site q of permute_qudits(state, perm) is the state's site perm[q - 1]
     relabeled = permute_qudits(state, perm)

@@ -5,9 +5,11 @@ and a public name somewhere in src/, scripts/ or bench/; an import in
 ``__init__`` is a read, so an exported name passes. So must each non-dunder
 member a class body in src/ binds: methods, properties, classmethods and
 dataclass fields. Tests do not count as readers, since a name kept alive
-only by its tests is dead in the program. A name counts as read when it
-appears as a loaded name, an attribute or a ``from ... import`` in a reader.
-An attribute read whose receiver names its class (``self.x`` or ``cls.x``
+only by its tests is dead in the program. A module-level name counts as
+read when it appears as a loaded name, an attribute or a ``from ... import``
+in a reader; a class member only as an attribute or an import, so a local
+variable that shares a member's name does not keep the member alive. An
+attribute read whose receiver names its class (``self.x`` or ``cls.x``
 inside a body of a class defined in src/, or ``K.x`` for such a class K)
 counts only for that class's member x, so a member is not kept alive by a
 namesake on another class.
@@ -60,14 +62,14 @@ def _walk_in_class(node, cls=None):
 
 
 def read_names(sources, classes=frozenset()):
-    """(bare, resolved): the names the sources load, read as an attribute or
-    import by name, and the (class, member) pairs read through a receiver
-    that names one of classes."""
-    bare, resolved = set(), set()
+    """(loaded, named, resolved): the names the sources load, the names
+    they read as an attribute or import, and the (class, member) pairs read
+    through a receiver that names one of classes."""
+    loaded, named, resolved = set(), set(), set()
     for source in sources.values():
         for node, cls in _walk_in_class(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                bare.add(node.id)
+                loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 receiver = node.value.id if isinstance(node.value, ast.Name) else None
                 if receiver in ("self", "cls") and cls in classes:
@@ -75,10 +77,10 @@ def read_names(sources, classes=frozenset()):
                 elif receiver in classes:
                     resolved.add((receiver, node.attr))
                 else:
-                    bare.add(node.attr)
+                    named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                bare.update(alias.name for alias in node.names)
-    return bare, resolved
+                named.update(alias.name for alias in node.names)
+    return loaded, named, resolved
 
 
 def unread_names(defining, readers, kind):
@@ -87,7 +89,8 @@ def unread_names(defining, readers, kind):
 
     Both map a module name to its source text.
     """
-    read, _ = read_names(readers)
+    loaded, named, _ = read_names(readers)
+    read = loaded | named
     return sorted(
         (module, statement.lineno, name)
         for module, source in defining.items()
@@ -103,9 +106,9 @@ def unread_private_names(sources):
 
 def unread_members(defining, readers):
     """(module, line, "Class.member") of each non-dunder member a class body
-    of defining binds and no module of readers reads, by its bare name or
-    through a receiver that names that class."""
-    bare, resolved = read_names(readers, _class_names(defining))
+    of defining binds and no module of readers reads, as an attribute or
+    import by name or through a receiver that names that class."""
+    _, named, resolved = read_names(readers, _class_names(defining))
     return sorted(
         (module, statement.lineno, f"{node.name}.{name}")
         for module, source in defining.items()
@@ -114,7 +117,7 @@ def unread_members(defining, readers):
         for statement in node.body
         for name in _bound_names(statement)
         if not name.startswith("__")
-        and name not in bare
+        and name not in named
         and (node.name, name) not in resolved
     )
 
@@ -178,6 +181,22 @@ def test_detector_resolves_class_receivers():
         "b": "from a import B\nB().size()\n",
     }
     assert unread_members(sources, sources) == [("a", 2, "A.x"), ("a", 8, "B.identity")]
+
+
+def test_detector_does_not_take_a_local_namesake_for_a_member():
+    # the local pivots reads no Result.pivots; run().rank reads Result.rank
+    sources = {
+        "a": (
+            "class Result:\n"
+            "    rank: int\n"
+            "    pivots: tuple\n"
+            "def run():\n"
+            "    pivots = []\n"
+            "    return Result(len(pivots), pivots)\n"
+        ),
+        "b": "from a import run\nprint(run().rank)\n",
+    }
+    assert unread_members(sources, sources) == [("a", 3, "Result.pivots")]
 
 
 def test_every_private_name_in_src_is_read():
