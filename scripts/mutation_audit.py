@@ -68,11 +68,17 @@ MUTANTS = [
      "key = frozenset(order[:l] if 1 in order[:l] else order[l:])",
      "key = len(order[:l] if 1 in order[:l] else order[l:])"),
     ("dicke_scan ranks the occupation-class matrix at split l + 1", "classifier.py",
-     "symmetric_matrix(n, l, {key: ONE})",
-     "symmetric_matrix(n, l + 1, {key: ONE})"),
+     "symmetric_matrix(n, l, key)",
+     "symmetric_matrix(n, l + 1, key)"),
     ("dicke_scan's orbit memo hands a row another multiset's rank", "classifier.py",
      "rows.append(ScanRow(counts, *orbit[key]))",
      "rows.append(ScanRow(counts, *orbit[max(orbit)]))"),
+    ("symmetric_matrix puts every ONE in column 0", "matricizer.py",
+     "row[col_of[tuple(map(sub, counts, a))]] = ONE",
+     "row[0] = ONE"),
+    ("support() keeps repeated rows", "linalg.py",
+     "rows = dict.fromkeys(tuple(row) for row in by_row.values())",
+     "rows = list(tuple(row) for row in by_row.values())"),
 ]
 
 

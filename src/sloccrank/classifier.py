@@ -195,7 +195,7 @@ def dicke_scan(levels: int, n: int) -> Tuple[PermutationSet, List[ScanRow]]:
         counts = (n - sum(occ),) + occ
         key = tuple(sorted(counts))
         if key not in orbit:
-            r = rank_exact(symmetric_matrix(n, l, {key: ONE})).rank
+            r = rank_exact(symmetric_matrix(n, l, key)).rank
             orbit[key] = (_occupation_variance(key), (r,) * len(pset))
         rows.append(ScanRow(counts, *orbit[key]))
     return pset, rows

@@ -152,21 +152,19 @@ def distinct_support(
     first occurrence in index order is kept. Returns the kept block as a
     dense grid.
     """
-    codes: Dict[ComplexRational, int] = {}  # value -> small int, hashed once
     by_row: Dict[int, list] = {}
     for r, c, v in entries:
-        by_row.setdefault(r, []).append((c, codes.setdefault(v, len(codes))))
+        by_row.setdefault(r, []).append((c, v))
     rows = dict.fromkeys(tuple(row) for row in by_row.values())
-    by_col: Dict[int, list] = {}  # column -> [(kept row position, code)]
+    by_col: Dict[int, list] = {}  # column -> [(kept row position, value)]
     for pos, row in enumerate(rows):
-        for c, k in row:
-            by_col.setdefault(c, []).append((pos, k))
+        for c, v in row:
+            by_col.setdefault(c, []).append((pos, v))
     cols = dict.fromkeys(tuple(by_col[c]) for c in sorted(by_col))
-    values = list(codes)
     grid = [[ZERO] * len(cols) for _ in rows]
     for j, col in enumerate(cols):
-        for pos, k in col:
-            grid[pos][j] = values[k]
+        for pos, v in col:
+            grid[pos][j] = v
     return grid
 
 

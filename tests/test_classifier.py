@@ -27,7 +27,7 @@ from sloccrank.classifier import (
 )
 from sloccrank.linalg import distinct_support, rank_exact, rank_numeric
 from sloccrank.matricizer import coefficient_matrix, permutation_set, symmetric_matrix
-from sloccrank.scalars import ONE, ComplexRational
+from sloccrank.scalars import ComplexRational
 from sloccrank.slocc import apply_local, random_ilo_set
 from sloccrank.states import QuditState, gen_dicke3, gen_dicke4, gen_ghz, gen_w
 
@@ -251,7 +251,7 @@ def test_dicke_scan_rows_match_their_own_occupation_class_matrix(levels, n):
     # arrangement on its own counts, so a wrong orbit premise would show here
     _, rows = dicke_scan(levels, n)
     for row in rows:
-        r = rank_exact(symmetric_matrix(n, n // 2, {row.occupations: ONE})).rank
+        r = rank_exact(symmetric_matrix(n, n // 2, row.occupations)).rank
         assert set(row.ranks) == {r}, row.occupations
         assert row.variance == statistics.pvariance(map(Fraction, row.occupations))
 

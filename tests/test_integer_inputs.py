@@ -16,7 +16,6 @@ from sloccrank.matricizer import (
     optimal_split,
     reduced_density,
     split_capacity,
-    symmetric_matrix,
 )
 from sloccrank.scalars import ONE
 from sloccrank.states import (
@@ -59,7 +58,6 @@ ENTRY_POINTS = [
     ("gen_dicke4 l1", lambda x: gen_dicke4(5, x, 0, 0), TypeError),
     ("dicke_scan levels", lambda x: dicke_scan(x, 2), TypeError),
     ("dicke_scan n", lambda x: dicke_scan(3, x), TypeError),
-    ("symmetric_matrix count", lambda x: symmetric_matrix(4, 2, {(x, 2): ONE}), TypeError),
 ]
 # the int an entry point accepts where the calls above put x, when 2 is out
 # of its range

@@ -21,7 +21,7 @@ from sloccrank.matricizer import (
 )
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import random_sparse_state
-from sloccrank.states import QuditState, ZeroStateError, flat_index, gen_ghz
+from sloccrank.states import QuditState, _symmetric_state, flat_index, gen_ghz
 
 from oracles import from_ints, partial_trace, rank_mod_prime, symmetric_terms, transpose
 
@@ -237,76 +237,52 @@ def test_support_drops_zero_and_repeated_lines():
 # -- symmetric states --------------------------------------------------------
 
 def test_symmetric_matrix_of_one_dicke_class_is_a_permutation():
-    m = symmetric_matrix(4, 2, {(2, 1, 1): ONE})
+    m = symmetric_matrix(4, 2, (2, 1, 1))
     # rows (0,1,1), (1,0,1), (1,1,0), (2,0,0); column b = (2,1,1) - a
     assert m == from_ints(
         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     )
-    with pytest.raises(ValueError):
-        symmetric_matrix(4, 2, {(2, 1, 0): ONE})
-    with pytest.raises(ValueError):
-        symmetric_matrix(4, 4, {(2, 1, 1): ONE})
-
-
-@pytest.mark.parametrize(
-    "coeffs,error",
-    [
-        # a 2-level tuple next to a 3-level one would be read against its prefix
-        ({(2, 1, 1): ONE, (3, 1): ONE}, ValueError),
-        ({(3, -1, 2): ONE}, ValueError),
-        ({(4,): ONE}, ValueError),
-        ({(True, 3): ONE}, TypeError),
-        ({(2.0, 2): ONE}, TypeError),
-        ({"22": ONE}, TypeError),
-        ({2: ONE}, TypeError),
-        ({(2, 2): 1}, TypeError),
-        ({(2, 2): 1j}, TypeError),
-        ({}, ZeroStateError),
-        ({(2, 2): ZERO}, ZeroStateError),
-        ({(2, 2): ZERO, (3, 1): ZERO}, ZeroStateError),
-    ],
-    ids=repr,
-)
-def test_symmetric_matrix_validates_its_occupation_map(coeffs, error):
-    with pytest.raises(error):
-        symmetric_matrix(4, 2, coeffs)
-
-
-@pytest.mark.parametrize("bad", [(3, 1), (3, -1, 2), (1, 1, 1)])
-def test_symmetric_matrix_value_errors_name_the_tuple(bad):
-    with pytest.raises(ValueError) as info:
-        symmetric_matrix(4, 2, {(2, 1, 1): ONE, bad: ONE})
-    assert str(bad) in str(info.value) and "empty" not in str(info.value)
 
 
 @st.composite
-def symmetric_superpositions(draw):
-    """(levels, n, {occupation tuple: nonzero Gaussian-integer amplitude})."""
+def dicke_classes(draw):
+    """(levels, n, occupation tuple of all `levels` counts, summing to n)."""
     levels = draw(st.integers(2, 4))
     n = draw(st.integers(2, 7))
     classes = [c for c in product(range(n + 1), repeat=levels) if sum(c) == n]
-    chosen = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=4,
-                           unique=True))
-    parts = st.integers(-2, 2)
-    amps = st.tuples(parts, parts).filter(any).map(lambda z: ComplexRational(*z))
-    return levels, n, {c: draw(amps) for c in chosen}
+    return levels, n, draw(st.sampled_from(classes))
 
 
-@given(symmetric_superpositions())
+@given(dicke_classes())
 @settings(max_examples=40, deadline=None)
 def test_symmetric_matrix_rank_matches_explicit_superposition(case):
-    levels, n, coeffs = case
-    dims = (levels,) * n
-    amps = {
-        pos: alpha
-        for c, alpha in coeffs.items()
-        for pos in symmetric_terms(levels, n, c[1:])
-    }
-    state = QuditState(dims, amps)
+    levels, n, counts = case
+    terms = symmetric_terms(levels, n, counts[1:])
+    state = QuditState((levels,) * n, dict.fromkeys(terms, ONE))
     for l in range(1, n):
         m = coefficient_matrix(state, l)
-        r = rank_exact(symmetric_matrix(n, l, coeffs)).rank
+        r = rank_exact(symmetric_matrix(n, l, counts)).rank
         assert r == rank_exact(m.support()).rank == rank_mod_prime(m.to_matrix()), l
+
+
+@pytest.mark.parametrize(
+    "levels,n,occupations",
+    [(3, 6, (2, 1)), (3, 9, (2, 1)), (4, 8, (2, 1, 1)), (3, 7, (0, 0)),
+     (4, 6, (1, 0, 2)), (2, 7, (3,))],
+)
+def test_dicke_support_is_its_one_class_matrix(levels, n, occupations):
+    # rows sharing a digit multiset are equal, and so are such columns; the
+    # support keeps one of each, which leaves a permutation matrix of the
+    # one-class matrix's side at every split and sigma
+    state = _symmetric_state(levels, n, occupations)
+    counts = (n - sum(occupations),) + occupations
+    for l in range(1, n):
+        side = symmetric_matrix(n, l, counts).rows
+        for sigma in permutation_set(n, l):
+            m = coefficient_matrix(state, l, sigma).support()
+            assert (m.rows, m.cols) == (side, side), (l, sigma)
+            for row in m.data:
+                assert row.count(ONE) == 1 and row.count(ZERO) == side - 1, (l, sigma)
 
 
 # -- reduced density --------------------------------------------------------
