@@ -79,6 +79,14 @@ MUTANTS = [
     ("support() keeps repeated rows", "linalg.py",
      "rows = dict.fromkeys(tuple(row) for row in by_row.values())",
      "rows = list(tuple(row) for row in by_row.values())"),
+    ("every amplitude gets its own code", "states.py",
+     'object.__setattr__(self, "classes", tuple(code_of))\n'
+     '        object.__setattr__(self, "codes", tuple(codes))',
+     'object.__setattr__(self, "classes", tuple(amps.values()))\n'
+     '        object.__setattr__(self, "codes", tuple(range(len(amps))))'),
+    ("every amplitude gets code 0", "states.py",
+     'object.__setattr__(self, "codes", tuple(codes))',
+     'object.__setattr__(self, "codes", (0,) * len(codes))'),
 ]
 
 

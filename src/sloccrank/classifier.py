@@ -65,8 +65,10 @@ def signature(state: QuditState, l: Union[int, str] = "auto") -> RankSignature:
 
 def family_label(sig: RankSignature) -> str:
     """Canonical label, e.g. F{4,4,3}@{I,(1,3),(1,4)}."""
-    ranks = ",".join(str(r) for r in sig.ranks)
-    sigmas = ",".join(sig.sigma_set.labels())
+    return _label(",".join(map(str, sig.ranks)), ",".join(sig.sigma_set.labels()))
+
+
+def _label(ranks: str, sigmas: str) -> str:
     return f"F{{{ranks}}}@{{{sigmas}}}"
 
 
@@ -225,12 +227,13 @@ def scan_to_csv(levels: int, pset: PermutationSet, rows: Sequence[ScanRow]) -> s
     header = ",".join(occ_cols + ["variance"] + rank_cols + ["family_label"])
     out.write(f"# columns: {header}\n# sigma order: {';'.join(pset.labels())}\n")
     out.write(header + "\n")
-    tails: Dict[Tuple[int, ...], str] = {}  # ranks -> formatted tail, label built once
+    sigmas = ",".join(pset.labels())
+    tails: Dict[Tuple[int, ...], str] = {}  # ranks -> formatted tail, joined once
     for row in rows:
         tail = tails.get(row.ranks)
         if tail is None:
-            label = family_label(RankSignature(pset, row.ranks))
-            tail = tails[row.ranks] = ",".join(map(str, row.ranks)) + f',"{label}"'
+            ranks = ",".join(map(str, row.ranks))
+            tail = tails[row.ranks] = f'{ranks},"{_label(ranks, sigmas)}"'
         occ = ",".join(map(str, row.occupations))
         out.write(f"{occ},{float(row.variance)},{tail}\n")
     return out.getvalue()

@@ -6,7 +6,8 @@ certifies full rank. Otherwise `scalars.gaussian_pairs` scales each row to
 Gaussian-integer pairs, and one-step fraction-free (Bareiss) elimination on
 those decides; `det_exact` runs the same kernel. Zero and duplicate
 rows/columns (rank-invariant) are dropped once, before a matricization is
-ever densified: `distinct_support` reads sparse (row, col, value) triples and
+ever densified: `distinct_support` reads sparse (row, col, code) triples, the
+code of one of the state's values, and compares lines as tuples of ints;
 `CoefficientMatrix.support` hands it a matricization's entries, so a sparse
 state reaches elimination without its zero grid ever being built. Floating
 point decides nothing: the numeric path is an SVD cross-check only.
@@ -142,29 +143,29 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
 
 
 def distinct_support(
-    entries: Iterable[Tuple[int, int, ComplexRational]]
+    entries: Iterable[Tuple[int, int, int]], classes: Sequence[ComplexRational]
 ) -> List[List[ComplexRational]]:
     """Distinct nonzero rows x distinct nonzero columns of a sparse matrix.
 
-    entries holds one (row, col, value) triple per nonzero position, in
-    row-major order, so zero rows and columns are absent; repeats of an
-    earlier row or column are dropped too. Neither changes the rank. The
-    first occurrence in index order is kept. Returns the kept block as a
-    dense grid.
+    entries holds one (row, col, code) triple per nonzero position, in
+    row-major order, with value classes[code] (one code per value), so zero
+    rows and columns are absent; repeats of an earlier row or column, tuples
+    of ints, are dropped too. Neither changes the rank. The first occurrence
+    in index order is kept. Returns the kept block as a dense grid.
     """
     by_row: Dict[int, list] = {}
-    for r, c, v in entries:
-        by_row.setdefault(r, []).append((c, v))
+    for r, c, k in entries:
+        by_row.setdefault(r, []).append((c, k))
     rows = dict.fromkeys(tuple(row) for row in by_row.values())
-    by_col: Dict[int, list] = {}  # column -> [(kept row position, value)]
+    by_col: Dict[int, list] = {}  # column -> [(kept row position, code)]
     for pos, row in enumerate(rows):
-        for c, v in row:
-            by_col.setdefault(c, []).append((pos, v))
+        for c, k in row:
+            by_col.setdefault(c, []).append((pos, k))
     cols = dict.fromkeys(tuple(by_col[c]) for c in sorted(by_col))
     grid = [[ZERO] * len(cols) for _ in rows]
     for j, col in enumerate(cols):
-        for pos, v in col:
-            grid[pos][j] = v
+        for pos, k in col:
+            grid[pos][j] = classes[k]
     return grid
 
 

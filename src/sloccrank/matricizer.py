@@ -141,7 +141,8 @@ class CoefficientMatrix:
 
     row_dims: Tuple[int, ...]
     col_dims: Tuple[int, ...]
-    entries: Tuple[Tuple[int, int, ComplexRational], ...]  # (row, col, value)
+    entries: Tuple[Tuple[int, int, int], ...]  # (row, col, code)
+    classes: Tuple[ComplexRational, ...]  # the state's values, by code
 
     @property
     def rows(self) -> int:
@@ -154,8 +155,8 @@ class CoefficientMatrix:
     def to_matrix(self) -> ExactMatrix:
         cols = self.cols
         grid = [[ZERO] * cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            grid[r][c] = v
+        for r, c, k in self.entries:
+            grid[r][c] = self.classes[k]
         return ExactMatrix(grid)
 
     def support(self) -> ExactMatrix:
@@ -164,7 +165,7 @@ class CoefficientMatrix:
         Same rank as to_matrix(), built from the entries without the zero
         cells of the full grid.
         """
-        return ExactMatrix(distinct_support(self.entries))
+        return ExactMatrix(distinct_support(self.entries, self.classes))
 
 
 def _matricize_by_order(
@@ -173,13 +174,10 @@ def _matricize_by_order(
     """Rows: the first l sites of order; columns: the rest."""
     perm_dims = tuple(state.dims[q - 1] for q in order)
     cols = prod(perm_dims[l:])
-    amps = state.amplitudes
-    moved = sorted(
-        zip(reorder_indices(amps, state.dims, order), amps.values()),
-        key=itemgetter(0),
-    )
-    entries = tuple((*divmod(j, cols), a) for j, a in moved)
-    return CoefficientMatrix(perm_dims[:l], perm_dims[l:], entries)
+    new = reorder_indices(state.amplitudes, state.dims, order)
+    moved = sorted(zip(new, state.codes), key=itemgetter(0))
+    entries = tuple([(j // cols, j % cols, k) for j, k in moved])
+    return CoefficientMatrix(perm_dims[:l], perm_dims[l:], entries, state.classes)
 
 
 def coefficient_matrix(
@@ -257,7 +255,7 @@ def split_capacity(dims: Sequence[int], l: int) -> int:
     l_star = min(l, n - l)
     sorted_dims = tuple(sorted(dims, reverse=True))
     p = 1
-    for sigma in _sigmas_general(n, l_star):
+    for sigma in _permutation_set(n, l_star) if l_star > 1 else (QuditPermutation(()),):
         perm = tuple(sorted_dims[q - 1] for q in sigma.site_order(n))
         p *= min(prod(perm[:l_star]), prod(perm[l_star:]))
     return p

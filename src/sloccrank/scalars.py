@@ -20,6 +20,10 @@ class ComplexRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=1):
+        # int parts over d = 1 are in lowest terms already
+        if type(a) is int and type(b) is int and type(d) is int and d == 1:
+            self.a, self.b, self.d = a, b, d
+            return
         if isinstance(a, Fraction) or isinstance(b, Fraction):
             # ints have .numerator and .denominator too
             da, db = a.denominator, b.denominator

@@ -79,14 +79,18 @@ def multiindex_of(i: int, dims: Sequence[int]) -> MultiIndex:
 
 
 class QuditState:
-    """Immutable sparse n-qudit pure state (unnormalized)."""
+    """Immutable sparse n-qudit pure state (unnormalized). classes: the distinct
+    amplitudes by first appearance; codes[t]: the position in classes of the t-th
+    value of amplitudes, so matricizations compare ints and hash no amplitude."""
 
-    __slots__ = ("dims", "amplitudes")
+    __slots__ = ("dims", "amplitudes", "classes", "codes")
 
     def __init__(self, dims: Sequence[int], amplitudes: Mapping[int, ComplexRational]):
         dims = check_dims(dims)
         D = prod(dims)
         amps: Dict[int, ComplexRational] = {}
+        code_of: Dict[ComplexRational, int] = {}
+        codes = []
         for i, a in amplitudes.items():
             _check_flat_index(i, D)
             if type(a) is not ComplexRational:
@@ -94,10 +98,13 @@ class QuditState:
                                 "not a ComplexRational")
             if not a.is_zero():
                 amps[i] = a
+                codes.append(code_of.setdefault(a, len(code_of)))
         if not amps:
             raise ZeroStateError("state has no nonzero amplitude")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", MappingProxyType(amps))
+        object.__setattr__(self, "classes", tuple(code_of))
+        object.__setattr__(self, "codes", tuple(codes))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuditState is immutable")
@@ -259,6 +266,9 @@ def _parse_part(value):
     return parse_rational(text)
 
 
+_ENTRY_FIELDS = frozenset({"index", "re", "im"})
+
+
 def state_from_json(obj) -> QuditState:
     """Strict parser for the state JSON schema.
 
@@ -283,10 +293,9 @@ def state_from_json(obj) -> QuditState:
     for pos, entry in enumerate(obj["amplitudes"]):
         if not isinstance(entry, dict):
             raise StateFormatError(f"amplitude #{pos} must be an object")
-        unknown = set(entry) - {"index", "re", "im"}
-        if unknown:
+        if not _ENTRY_FIELDS.issuperset(entry):
             raise StateFormatError(
-                f"amplitude #{pos}: unknown fields {sorted(unknown)}"
+                f"amplitude #{pos}: unknown fields {sorted(set(entry) - _ENTRY_FIELDS)}"
             )
         if "index" not in entry:
             raise StateFormatError(f"amplitude #{pos}: missing 'index'")

@@ -352,3 +352,38 @@ def _row_occupations(levels: int, l: int) -> frozenset:
         tuple(tup.count(lv) for lv in range(levels))
         for tup in product(range(levels), repeat=l)
     )
+
+
+def value_entries(state: QuditState, l: int, sigma) -> list:
+    """(row, col, value) of each amplitude of the l | n-l matricization at
+    sigma, in row-major order: each index's digits are reordered by sigma's
+    site order and split after the l-th, one multi-index at a time."""
+    order = sigma.site_order(state.n)
+    new_dims = [state.dims[q - 1] for q in order]
+    out = []
+    for i, a in state.amplitudes.items():
+        digits = multiindex_of(i, state.dims)
+        moved = [digits[q - 1] for q in order]
+        out.append((flat_index(moved[:l], new_dims[:l]),
+                    flat_index(moved[l:], new_dims[l:]), a))
+    return sorted(out, key=lambda e: e[:2])
+
+
+def distinct_support_by_value(entries) -> ExactMatrix:
+    """Distinct nonzero rows x distinct nonzero columns, lines compared by
+    their values: (row, col, value) triples in row-major order in, the
+    block of first occurrences in index order out."""
+    by_row = {}
+    for r, c, v in entries:
+        by_row.setdefault(r, []).append((c, v))
+    rows = dict.fromkeys(tuple(row) for row in by_row.values())
+    by_col = {}  # column -> [(kept row position, value)]
+    for pos, row in enumerate(rows):
+        for c, v in row:
+            by_col.setdefault(c, []).append((pos, v))
+    cols = dict.fromkeys(tuple(by_col[c]) for c in sorted(by_col))
+    grid = [[ZERO] * len(cols) for _ in rows]
+    for j, col in enumerate(cols):
+        for pos, v in col:
+            grid[pos][j] = v
+    return ExactMatrix(grid)

@@ -27,7 +27,7 @@ from sloccrank.classifier import (
 )
 from sloccrank.linalg import distinct_support, rank_exact, rank_numeric
 from sloccrank.matricizer import coefficient_matrix, permutation_set, symmetric_matrix
-from sloccrank.scalars import ComplexRational
+from sloccrank.scalars import ONE, ComplexRational
 from sloccrank.slocc import apply_local, random_ilo_set
 from sloccrank.states import QuditState, gen_dicke3, gen_dicke4, gen_ghz, gen_w
 
@@ -101,6 +101,26 @@ def test_signature_drops_zero_and_repeated_lines_once_per_sigma(monkeypatch):
     monkeypatch.setattr(sloccrank.matricizer, "distinct_support", counting)
     sig = signature(gen_w(5), 2)
     assert len(calls) == len(sig.sigma_set)
+
+
+def test_signature_hashes_no_amplitude_of_a_built_state(monkeypatch):
+    # amplitudes are hashed once, when the state is built; support() then
+    # compares int codes
+    rng = random.Random(3)
+    state = QuditState((3,) * 4, {i: ComplexRational(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for i in range(81)})
+    hashed = []
+    hash_value = ComplexRational.__hash__
+
+    def counting(z):
+        hashed.append(z)
+        return hash_value(z)
+
+    monkeypatch.setattr(ComplexRational, "__hash__", counting)
+    assert signature(state).ranks == (9, 9, 9)
+    assert hashed == []
+    hash(ONE)  # the wrapper is live
+    assert len(hashed) == 1
 
 
 # -- classify ---------------------------------------------------------------
@@ -371,14 +391,15 @@ def test_scan_csv_formats_each_ranks_and_label_pair():
 def test_scan_csv_builds_one_label_per_distinct_ranks(monkeypatch):
     pset, rows = dicke_scan(3, 9)
     labelled = []
+    label = sloccrank.classifier._label  # family_label's format, which the scan reuses
 
-    def counting(sig):
-        labelled.append(sig.ranks)
-        return family_label(sig)
+    def counting(ranks, sigmas):
+        labelled.append(ranks)
+        return label(ranks, sigmas)
 
-    monkeypatch.setattr(sloccrank.classifier, "family_label", counting)
+    monkeypatch.setattr(sloccrank.classifier, "_label", counting)
     csv = scan_to_csv(3, pset, rows)
-    assert sorted(labelled) == sorted({row.ranks for row in rows})
+    assert sorted(labelled) == sorted({",".join(map(str, row.ranks)) for row in rows})
     assert len(labelled) < len(rows)
     assert hashlib.sha256(csv.encode()).hexdigest() == _FIGURE_CSV_SHA256[3, 9]
 

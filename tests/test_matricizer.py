@@ -21,9 +21,27 @@ from sloccrank.matricizer import (
 )
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import random_sparse_state
-from sloccrank.states import QuditState, _symmetric_state, flat_index, gen_ghz
+from sloccrank.states import (
+    QuditState,
+    _symmetric_state,
+    flat_index,
+    gen_dicke3,
+    gen_dicke4,
+    gen_ghz,
+    gen_w,
+    multiindex_of,
+    state_from_json,
+)
 
-from oracles import from_ints, partial_trace, rank_mod_prime, symmetric_terms, transpose
+from oracles import (
+    distinct_support_by_value,
+    from_ints,
+    partial_trace,
+    rank_mod_prime,
+    symmetric_terms,
+    transpose,
+    value_entries,
+)
 
 dims_strategy = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple)
 
@@ -177,8 +195,9 @@ def test_matrix_shape_covers_full_space(dims, seed):
         for sigma in permutation_set(n, l):
             m = coefficient_matrix(s, l, sigma)
             assert m.rows * m.cols == prod(dims)
+            # an entry holds the code of its value in the state's classes
             assert sum(
-                not v.is_zero() for _, _, v in m.entries
+                not m.classes[k].is_zero() for _, _, k in m.entries
             ) == len(s.amplitudes)
 
 
@@ -232,6 +251,54 @@ def test_support_drops_zero_and_repeated_lines():
     cm = coefficient_matrix(s, 1)
     assert cm.support() == from_ints([[1, 2], [1, 0]])
     assert rank_exact(cm.support()).rank == rank_exact(cm.to_matrix()).rank == 2
+
+
+def _assert_support_is_the_value_keyed_oracle(state):
+    n = state.n
+    for l in range(1, n):
+        for sigma in permutation_set(n, l):
+            oracle = distinct_support_by_value(value_entries(state, l, sigma))
+            assert coefficient_matrix(state, l, sigma).support() == oracle, (l, sigma)
+
+
+# value texts for state JSON; each parsed amplitude is an object of its own
+_POOL = (("1", "0"), ("-1", "0"), ("1/2", "0"), ("1", "2/3"), ("0", "1"))
+
+
+@given(dims_strategy, st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_support_of_a_sparse_pooled_state_is_the_value_keyed_oracle(dims, seed):
+    # 2-3 values over many terms, so rows and columns repeat
+    rng = random.Random(seed)
+    pool = rng.sample(_POOL, rng.randint(2, 3))
+    D = prod(dims)
+    amplitudes = []
+    for i in rng.sample(range(D), rng.randint(1, min(D, 24))):
+        re, im = rng.choice(pool)
+        amplitudes.append({"index": list(multiindex_of(i, dims)), "re": re, "im": im})
+    state = state_from_json({"dims": list(dims), "amplitudes": amplitudes})
+    assert len(state.classes) <= len(pool)
+    _assert_support_is_the_value_keyed_oracle(state)
+
+
+@given(dims_strategy, st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_support_of_a_dense_state_is_the_value_keyed_oracle(dims, seed):
+    rng = random.Random(seed)
+    parts = range(-2, 3)
+    state = QuditState(dims, {i: ComplexRational(rng.choice(parts), rng.choice(parts))
+                              for i in range(prod(dims))})
+    _assert_support_is_the_value_keyed_oracle(state)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [gen_ghz(4, 3), gen_ghz(5, 2), gen_w(5), gen_dicke3(6, 2, 1),
+     gen_dicke3(5, 1, 1), gen_dicke4(5, 1, 1, 1)],
+    ids=repr,
+)
+def test_support_of_a_symmetric_state_is_the_value_keyed_oracle(state):
+    _assert_support_is_the_value_keyed_oracle(state)
 
 
 # -- symmetric states --------------------------------------------------------

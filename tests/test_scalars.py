@@ -42,6 +42,23 @@ def test_fraction_construction():
     assert z.im == Fraction(-3, 4)
 
 
+def test_constructor_keeps_int_parts_and_reduces_the_rest():
+    # int parts over d = 1 are stored as given; every other input is converted
+    # and reduced, or rejected
+    z = ComplexRational(2, -4)
+    assert (z.a, z.b, z.d) == (2, -4, 1)
+    assert {type(p) for p in (z.a, z.b, z.d)} == {int}
+    z = ComplexRational(Fraction(3), 2)
+    assert (z.a, z.b, z.d) == (3, 2, 1)
+    assert {type(p) for p in (z.a, z.b, z.d)} == {int}
+    assert (ComplexRational(2, 4, 6).a, ComplexRational(2, 4, 6).d) == (1, 3)
+    for parts in [(1.5,), (1.0,), (1, 2.0), (1, 0, 1.0)]:
+        with pytest.raises(TypeError):
+            ComplexRational(*parts)
+    z = ComplexRational(True)  # a bool part stays a bool
+    assert type(z.a) is bool and (z.a, z.b, z.d) == (1, 0, 1)
+
+
 def test_basic_arithmetic_examples():
     i = ComplexRational(0, 1)
     assert i * i == ComplexRational(-1)
