@@ -53,11 +53,17 @@ MUTANTS = [
      "sign = -1 if swaps % 2 else 1",
      "sign = 1"),
     ("a GF(p) certificate reports the longer side", "linalg.py",
-     "return RankResult(min(m.rows, m.cols))",
+     "return RankResult(side)",
      "return RankResult(max(m.rows, m.cols))"),
     ("the GF(p) pass skips a dependent line", "linalg.py",
-     "if not pv:\n            return False",
+     "if not pv:\n            return k",
      "if not pv:\n            continue"),
+    ("packed Bareiss returns its steps without checking the remainder", "linalg.py",
+     "return None if any(map(any, packed[piv:])) else piv",
+     "return piv"),
+    ("packed Bareiss sizes its slots for the entries alone", "linalg.py",
+     "w = (8 * (k * a) ** k * (isqrt(((k - 1) * a) ** (k - 1)) + 1)).bit_length() + 2",
+     "w = e.bit_length() + 2"),
     ("sigma validation accepts c = l", "matricizer.py",
      "if not (1 <= r <= l and l < c <= n):",
      "if not (1 <= r <= l and l <= c <= n):"),

@@ -11,13 +11,14 @@ from sloccrank.linalg import (
     _P,
     _SQRT_M1,
     ExactMatrix,
-    _full_rank_mod_p,
+    _independent_mod_p,
+    _packed_bareiss_rank,
     det_exact,
     kron_all,
     rank_exact,
     rank_numeric,
 )
-from sloccrank.scalars import ComplexRational, ONE, ZERO
+from sloccrank.scalars import ComplexRational, ONE, ZERO, gaussian_pairs
 
 from oracles import (
     det_rational,
@@ -219,12 +220,27 @@ def test_rank_matches_the_oracle_on_sparse_dense_and_repeated_line_matrices(m):
     assert rank_exact(m).rank == rank_mod_prime(m)
 
 
-# -- the GF(p) full-rank certificate and its fallback ------------------------
+# -- the GF(p) pass, the packed Bareiss and the fallback ---------------------
 
 def test_certificate_prime_has_a_square_root_of_minus_one():
     assert _P % 4 == 1 and _P < 2**15
     assert all(_P % k for k in range(2, int(_P**0.5) + 1))
     assert _SQRT_M1 * _SQRT_M1 % _P == _P - 1
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The routes rank_exact takes, in call order: "pass" (the GF(p) pass),
+    "packed" (the budgeted packed Bareiss) and "scalar" (scalar Bareiss)."""
+    taken = []
+    for route, name in [("pass", "_independent_mod_p"), ("packed", "_packed_bareiss_rank"),
+                        ("scalar", "_bareiss_rank")]:
+        def counting(*args, _route=route, _run=getattr(sloccrank.linalg, name)):
+            taken.append(_route)
+            return _run(*args)
+
+        monkeypatch.setattr(sloccrank.linalg, name, counting)
+    return taken
 
 
 def padded_to_5(m):
@@ -237,7 +253,7 @@ def padded_to_5(m):
     )
 
 
-def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss():
+def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss(routes):
     # s - i maps to s - s = 0 in GF(p): the determinant s - i is lost there,
     # and the first two rows become equal
     s_minus_i = ComplexRational(_SQRT_M1, -1)
@@ -250,11 +266,12 @@ def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss():
         ]
     )
     m = padded_to_5(m)
-    assert _full_rank_mod_p(m) is False
+    assert _independent_mod_p(m) < 5
     assert rank_exact(m).rank == rank_mod_prime(m) == 5
+    assert routes == ["pass", "packed", "scalar"]
 
 
-def test_denominator_divisible_by_p_falls_back_to_bareiss():
+def test_denominator_divisible_by_p_falls_back_to_bareiss(routes):
     # one block has determinant 1/p, the other loses it if its row is scaled
     # by p: an image mod p is singular whether 1/p maps to 0 or to p/p
     inv_p = ComplexRational(Fraction(1, _P))
@@ -267,33 +284,78 @@ def test_denominator_divisible_by_p_falls_back_to_bareiss():
         ]
     )
     m = padded_to_5(m)
-    assert _full_rank_mod_p(m) is False
+    assert _independent_mod_p(m) < 5
     assert rank_exact(m).rank == rank_mod_prime(m) == 5
+    assert routes == ["pass", "packed", "scalar"]
 
 
-def test_certificate_reduces_lines_whose_pivots_are_out_of_column_order():
+def test_certificate_reduces_lines_whose_pivots_are_out_of_column_order(routes):
     # a 3x3 block of rank 2; the first row's pivot is column 1, the second
     # row's column 0, and the third row has a zero under the first pivot. A
     # pass that scaled only x[c:] when cross-multiplying called it full rank.
+    # The pass stops at the third row, so a budget of 2 is short of rank 4.
     a, b = ComplexRational(1, -1), ComplexRational(-1, -1)
     m = padded_to_5(ExactMatrix([[ZERO, b, a], [b, a, ZERO], [a, ZERO, a]]))
-    assert _full_rank_mod_p(m) is False
+    assert _independent_mod_p(m) < 5
     assert rank_exact(m).rank == rank_mod_prime(m) == 4
+    assert routes == ["pass", "packed", "scalar"]
 
 
-def test_certificate_runs_only_from_a_side_of_5(monkeypatch):
-    # the pass runs only where it can pay: from a shorter side of 5
-    calls = []
-
-    def counting(m):
-        calls.append((m.rows, m.cols))
-        return _full_rank_mod_p(m)
-
-    monkeypatch.setattr(sloccrank.linalg, "_full_rank_mod_p", counting)
+def test_rank_routes_by_side_and_by_the_pass(routes):
+    # up to a side of 4 only scalar Bareiss runs
     assert rank_exact(identity_matrix(4)).rank == 4
-    assert calls == []
+    assert rank_exact(from_ints([[1, 2, 3, 4, 5, 6]] * 4)).rank == 1
+    assert routes == ["scalar", "scalar"]
+    # from a side of 5 a full rank is the pass's alone, on its shorter side
+    routes.clear()
     assert rank_exact(identity_matrix(5)).rank == 5
-    assert calls == [(5, 5)]
+    wide = from_ints([[int(i == j or j == 6) for j in range(7)] for i in range(5)])
+    assert rank_exact(wide).rank == rank_exact(transpose(wide)).rank == 5
+    assert routes == ["pass"] * 3
+    # a rank-2 product: the pass keeps 2 lines and packed Bareiss proves rank 2
+    routes.clear()
+    rng = random.Random(16)
+    m = random_int_matrix(rng, 16, 2).matmul(random_int_matrix(rng, 2, 16))
+    assert rank_exact(m).rank == rank_mod_prime(m) == 2
+    assert routes == ["pass", "packed"]
+
+
+@st.composite
+def low_rank_products(draw):
+    """B*C, B rows x r and C r x cols (sides 5-12, r 1-4), with parts up to
+    2**70; up to two rows are scaled by a fraction."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    rows, cols, r = draw(st.integers(5, 12)), draw(st.integers(5, 12)), draw(st.integers(1, 4))
+    bound = 2 ** draw(st.sampled_from([2, 20, 70]))
+    b = random_int_matrix(rng, rows, r, bound=bound)
+    c = random_int_matrix(rng, r, cols, bound=bound)
+    grid = b.matmul(c).data
+    for i in rng.sample(range(rows), rng.randint(0, 2)):
+        f = ComplexRational(Fraction(rng.randint(1, 9), rng.choice([2, 3, 10])), rng.randint(-2, 2))
+        grid[i] = [f * x for x in grid[i]]
+    return ExactMatrix(grid)
+
+
+@given(low_rank_products(), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_packed_bareiss_gives_the_rank_within_its_budget_and_none_past_it(m, budget):
+    rank = rank_mod_prime(m)
+    rows = [gaussian_pairs(row)[1] for row in m.data]
+    assert _packed_bareiss_rank(rows, budget) == (rank if budget >= rank else None)
+
+
+def test_packed_bareiss_slots_hold_a_hadamard_tight_minor():
+    # (1+i) times the 16x16 Sylvester matrix has determinant 2**40, Hadamard's
+    # bound (32 * 1**2)**8 itself; a 17th row, the sum of the first two,
+    # keeps the rank at 16
+    h = [[1]]
+    for _ in range(4):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    h.append([x + y for x, y in zip(h[0], h[1])])
+    m = ExactMatrix([[ComplexRational(x, x) for x in row] for row in h])
+    rows = [gaussian_pairs(row)[1] for row in m.data]
+    assert _packed_bareiss_rank(rows, 16) == rank_mod_prime(m) == 16
+    assert _packed_bareiss_rank(rows, 15) is None
 
 
 def test_rank_exact_deterministic():
