@@ -47,8 +47,8 @@ MUTANTS = [
      "if p > best_p:",
      "if p >= best_p:"),
     ("Bareiss skips the division whenever prev_b == 0", "linalg.py",
-     "if prev_b == 0 and prev_a == 1:",
-     "if prev_b == 0:"),
+     "divide = (prev_a, prev_b) != (1, 0)",
+     "divide = prev_b != 0"),
     ("det_exact ignores the row-swap parity", "linalg.py",
      "sign = -1 if swaps % 2 else 1",
      "sign = 1"),
@@ -82,9 +82,12 @@ MUTANTS = [
     ("symmetric_matrix puts every ONE in column 0", "matricizer.py",
      "row[col_of[tuple(map(sub, counts, a))]] = ONE",
      "row[0] = ONE"),
-    ("support() keeps repeated rows", "linalg.py",
+    ("support() keeps repeated rows", "matricizer.py",
      "rows = dict.fromkeys(tuple(row) for row in by_row.values())",
      "rows = list(tuple(row) for row in by_row.values())"),
+    ("the Dicke generator leaves chosen positions free for later levels", "states.py",
+     "tuple(w for w in free if w not in chosen)",
+     "free"),
     ("every amplitude gets its own code", "states.py",
      'object.__setattr__(self, "classes", tuple(code_of))\n'
      '        object.__setattr__(self, "codes", tuple(codes))',

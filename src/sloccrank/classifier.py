@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .linalg import rank_exact
 from .matricizer import (
@@ -65,7 +65,7 @@ def signature(state: QuditState, l: Union[int, str] = "auto") -> RankSignature:
 
 def family_label(sig: RankSignature) -> str:
     """Canonical label, e.g. F{4,4,3}@{I,(1,3),(1,4)}."""
-    return _label(",".join(map(str, sig.ranks)), ",".join(sig.sigma_set.labels()))
+    return _label(",".join(map(str, sig.ranks)), ",".join(sig.sigma_set.labels))
 
 
 def _label(ranks: str, sigmas: str) -> str:
@@ -75,7 +75,8 @@ def _label(ranks: str, sigmas: str) -> str:
 def classify(
     states: Sequence[QuditState],
     l: Union[int, str] = "auto",
-    ids: Optional[Sequence[str]] = None,
+    *,
+    ids: Sequence[str],
 ) -> Dict[RankSignature, List[str]]:
     """Group states (same dims required) by exact signature equality, in
     family_label order."""
@@ -84,8 +85,6 @@ def classify(
     dims = states[0].dims
     if any(s.dims != dims for s in states):
         raise ValueError("all states must share the same dims")
-    if ids is None:
-        ids = [f"s{k}" for k in range(len(states))]
     if len(ids) != len(states):
         raise ValueError("one id per state required")
     groups: Dict[RankSignature, List[str]] = {}
@@ -225,9 +224,9 @@ def scan_to_csv(levels: int, pset: PermutationSet, rows: Sequence[ScanRow]) -> s
     occ_cols = [f"l{k}" for k in range(levels)]
     rank_cols = [f"rank_sigma{k}" for k in range(len(pset))]
     header = ",".join(occ_cols + ["variance"] + rank_cols + ["family_label"])
-    out.write(f"# columns: {header}\n# sigma order: {';'.join(pset.labels())}\n")
+    out.write(f"# columns: {header}\n# sigma order: {';'.join(pset.labels)}\n")
     out.write(header + "\n")
-    sigmas = ",".join(pset.labels())
+    sigmas = ",".join(pset.labels)
     tails: Dict[Tuple[int, ...], str] = {}  # ranks -> formatted tail, joined once
     for row in rows:
         tail = tails.get(row.ranks)
@@ -244,7 +243,7 @@ def classify_to_csv(groups: Dict[RankSignature, List[str]]) -> str:
     out.write("# columns: state_id,l,sigma_list,ranks,family_label\n")
     out.write("state_id,l,sigma_list,ranks,family_label\n")
     for sig, sids in groups.items():
-        sigma_list = ";".join(sig.sigma_set.labels())
+        sigma_list = ";".join(sig.sigma_set.labels)
         ranks = ",".join(map(str, sig.ranks))
         label = family_label(sig)
         for sid in sids:

@@ -106,7 +106,7 @@ def _cmd_signature(args) -> int:
     l = _resolve_split(state, args.l)
     sig = signature(state, l)
     print(f"l={l}")
-    print("sigmas=" + ";".join(sig.sigma_set.labels()))
+    print("sigmas=" + ";".join(sig.sigma_set.labels))
     print("ranks=" + ",".join(str(r) for r in sig.ranks))
     print("label=" + family_label(sig))
     return 0

@@ -7,13 +7,8 @@ equal to the side certifies full rank. Otherwise `scalars.gaussian_pairs`
 scales each row to Gaussian-integer pairs, and k steps of one-step
 fraction-free (Bareiss) elimination on those rows, packed into big ints,
 prove rank k if they leave a zero remainder. Scalar Bareiss on the pairs
-decides the rest; `det_exact` runs it too. Zero and duplicate
-rows/columns (rank-invariant) are dropped once, before a matricization is
-ever densified: `distinct_support` reads sparse (row, col, code) triples, the
-code of one of the state's values, and compares lines as tuples of ints;
-`CoefficientMatrix.support` hands it a matricization's entries, so a sparse
-state reaches elimination without its zero grid ever being built. Floating
-point decides nothing: the numeric path is an SVD cross-check only.
+decides the rest; `det_exact` runs it too. Floating point decides
+nothing: the numeric path is an SVD cross-check only.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .scalars import ComplexRational, ZERO, gaussian_pairs
 
@@ -118,6 +113,7 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
             swaps += 1
         pa, pb = rows[piv][col]
         pn = prev_a * prev_a + prev_b * prev_b
+        divide = (prev_a, prev_b) != (1, 0)  # a previous pivot of 1, as at the first step
         prow = rows[piv]
         for r in range(piv + 1, nrows):
             row = rows[r]
@@ -130,48 +126,16 @@ def _bareiss_rank(rows: List[List[Tuple[int, int]]]) -> Tuple[int, int]:
                 # pivot*x - factor*y, then exact division by previous pivot
                 ta = pa * xa - pb * xb - (fa * ya - fb * yb)
                 tb = pa * xb + pb * xa - (fa * yb + fb * ya)
-                if prev_b == 0 and prev_a == 1:
-                    new.append((ta, tb))
+                if divide:
+                    new.append(((ta * prev_a + tb * prev_b) // pn, (tb * prev_a - ta * prev_b) // pn))
                 else:
-                    new.append(
-                        (
-                            (ta * prev_a + tb * prev_b) // pn,
-                            (tb * prev_a - ta * prev_b) // pn,
-                        )
-                    )
+                    new.append((ta, tb))
             row[col + 1:] = new
         piv += 1
         prev_a, prev_b = pa, pb
         if piv == nrows:
             break
     return piv, swaps
-
-
-def distinct_support(
-    entries: Iterable[Tuple[int, int, int]], classes: Sequence[ComplexRational]
-) -> List[List[ComplexRational]]:
-    """Distinct nonzero rows x distinct nonzero columns of a sparse matrix.
-
-    entries holds one (row, col, code) triple per nonzero position, in
-    row-major order, with value classes[code] (one code per value), so zero
-    rows and columns are absent; repeats of an earlier row or column, tuples
-    of ints, are dropped too. Neither changes the rank. The first occurrence
-    in index order is kept. Returns the kept block as a dense grid.
-    """
-    by_row: Dict[int, list] = {}
-    for r, c, k in entries:
-        by_row.setdefault(r, []).append((c, k))
-    rows = dict.fromkeys(tuple(row) for row in by_row.values())
-    by_col: Dict[int, list] = {}  # column -> [(kept row position, code)]
-    for pos, row in enumerate(rows):
-        for c, k in row:
-            by_col.setdefault(c, []).append((pos, k))
-    cols = dict.fromkeys(tuple(by_col[c]) for c in sorted(by_col))
-    grid = [[ZERO] * len(cols) for _ in rows]
-    for j, col in enumerate(cols):
-        for pos, k in col:
-            grid[pos][j] = classes[k]
-    return grid
 
 
 # p = 1 (mod 4), so -1 has a square root mod p; p < 2**15 keeps every

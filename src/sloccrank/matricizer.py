@@ -19,9 +19,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter, sub
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .linalg import ExactMatrix, distinct_support
+from .linalg import ExactMatrix
 from .scalars import ASCII_WHITESPACE, ComplexRational, ONE, ZERO
 from .states import QuditState, check_dims, reorder_indices
 
@@ -86,11 +86,8 @@ class PermutationSet:
     def __iter__(self):
         return iter(self.sigmas)
 
-    def labels(self) -> Tuple[str, ...]:
-        return self._labels
-
     @cached_property
-    def _labels(self) -> Tuple[str, ...]:
+    def labels(self) -> Tuple[str, ...]:
         # built on first use, once per set; not a field, so == and hash ignore it
         return tuple(s.label() for s in self.sigmas)
 
@@ -163,9 +160,25 @@ class CoefficientMatrix:
         """The distinct nonzero rows x distinct nonzero columns.
 
         Same rank as to_matrix(), built from the entries without the zero
-        cells of the full grid.
+        cells of the full grid: zero rows and columns have no entry, and a
+        repeat of an earlier row or column, compared as a tuple of ints, is
+        dropped too. Neither changes the rank. With entries in row-major
+        order, the first occurrence in index order is kept.
         """
-        return ExactMatrix(distinct_support(self.entries, self.classes))
+        by_row: Dict[int, list] = {}
+        for r, c, k in self.entries:
+            by_row.setdefault(r, []).append((c, k))
+        rows = dict.fromkeys(tuple(row) for row in by_row.values())
+        by_col: Dict[int, list] = {}  # column -> [(kept row position, code)]
+        for pos, row in enumerate(rows):
+            for c, k in row:
+                by_col.setdefault(c, []).append((pos, k))
+        cols = dict.fromkeys(tuple(by_col[c]) for c in sorted(by_col))
+        grid = [[ZERO] * len(cols) for _ in rows]
+        for j, col in enumerate(cols):
+            for pos, k in col:
+                grid[pos][j] = self.classes[k]
+        return ExactMatrix(grid)
 
 
 def _matricize_by_order(

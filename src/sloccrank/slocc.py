@@ -167,7 +167,7 @@ def rank_table(state: QuditState) -> Dict[Tuple[int, str], int]:
     memo = {}
     for l in range(1, state.n):
         pset = permutation_set(state.n, l)
-        for label, rank in zip(pset.labels(), sigma_ranks(state, pset, memo)):
+        for label, rank in zip(pset.labels, sigma_ranks(state, pset, memo)):
             out[(l, label)] = rank
     return out
 

@@ -208,22 +208,20 @@ def _symmetric_state(levels: int, n: int, counts: Sequence[int]) -> QuditState:
         raise ValueError(
             f"need occupations >= 0 summing to at most n-1, got n={n}, {counts}"
         )
-    dims = (levels,) * n
-    weights = [levels ** (n - 1 - p) for p in range(n)]
-    amps: Dict[int, ComplexRational] = {}
-    # place level 1, then 2, ... into the free positions; the remainder is 0s
-    def place(level: int, free: Tuple[int, ...], index: int) -> None:
-        c = counts[level - 1]
-        if level == len(counts):
-            for ws in combinations([weights[p] for p in free], c):
-                amps[index + level * sum(ws)] = ONE
-            return
-        for positions in combinations(free, c):
-            rest = tuple(p for p in free if p not in positions)
-            place(level + 1, rest, index + level * sum(weights[p] for p in positions))
-
-    place(1, tuple(range(n)), 0)
-    return QuditState(dims, amps)
+    # place level 1, then 2, ... on the weights of the free positions, kept in
+    # position order; the top level keeps no free list, since what it leaves
+    # stays at 0
+    *lower, top = counts
+    pairs = [(tuple(levels ** (n - 1 - p) for p in range(n)), 0)]
+    for level, c in enumerate(lower, 1):
+        pairs = [
+            (tuple(w for w in free if w not in chosen), index + level * sum(chosen))
+            for free, index in pairs
+            for chosen in combinations(free, c)
+        ]
+    amps = {index + len(counts) * sum(ws): ONE
+            for free, index in pairs for ws in combinations(free, top)}
+    return QuditState((levels,) * n, amps)
 
 
 def gen_dicke3(n: int, l1: int, l2: int) -> QuditState:

@@ -93,10 +93,10 @@ def test_c03_split_capacity():
 
 
 def test_c04_permutation_sets():
-    ok = permutation_set(4, 2).labels() == ("I", "(1,3)", "(1,4)")
+    ok = permutation_set(4, 2).labels == ("I", "(1,3)", "(1,4)")
     for n in range(2, 7):
         expected = ("I",) + tuple(f"(1,{j})" for j in range(2, n + 1))
-        if permutation_set(n, 1).labels() != expected:
+        if permutation_set(n, 1).labels != expected:
             ok = False
     _report(4, "canonical permutation sets", ok)
 

@@ -12,8 +12,6 @@ from pathlib import Path
 import pytest
 
 import sloccrank.classifier
-import sloccrank.linalg
-import sloccrank.matricizer
 from sloccrank.classifier import (
     RankSignature,
     ScanRow,
@@ -25,8 +23,13 @@ from sloccrank.classifier import (
     signature,
     table1_suite,
 )
-from sloccrank.linalg import distinct_support, rank_exact, rank_numeric
-from sloccrank.matricizer import coefficient_matrix, permutation_set, symmetric_matrix
+from sloccrank.linalg import rank_exact, rank_numeric
+from sloccrank.matricizer import (
+    CoefficientMatrix,
+    coefficient_matrix,
+    permutation_set,
+    symmetric_matrix,
+)
 from sloccrank.scalars import ONE, ComplexRational
 from sloccrank.slocc import apply_local, random_ilo_set
 from sloccrank.states import QuditState, gen_dicke3, gen_dicke4, gen_ghz, gen_w
@@ -39,7 +42,7 @@ from oracles import matched_occupation_classes, rank_mod_prime
 def test_signature_ghz4():
     sig = signature(gen_ghz(4, 2), 2)
     assert sig.ranks == (2, 2, 2)
-    assert sig.sigma_set.labels() == ("I", "(1,3)", "(1,4)")
+    assert sig.sigma_set.labels == ("I", "(1,3)", "(1,4)")
     assert family_label(sig) == "F{2,2,2}@{I,(1,3),(1,4)}"
 
 
@@ -93,12 +96,13 @@ def test_signature_invariant_under_invertible_ops():
 def test_signature_drops_zero_and_repeated_lines_once_per_sigma(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return distinct_support(*args)
+    support = CoefficientMatrix.support
 
-    monkeypatch.setattr(sloccrank.linalg, "distinct_support", counting)
-    monkeypatch.setattr(sloccrank.matricizer, "distinct_support", counting)
+    def counting(cm):
+        calls.append(cm)
+        return support(cm)
+
+    monkeypatch.setattr(CoefficientMatrix, "support", counting)
     sig = signature(gen_w(5), 2)
     assert len(calls) == len(sig.sigma_set)
 
@@ -141,10 +145,12 @@ def test_classify_groups_equal_signatures():
 
 def test_classify_validation():
     with pytest.raises(ValueError):
-        classify([gen_ghz(3, 2), gen_ghz(3, 3)], 1)
+        classify([gen_ghz(3, 2), gen_ghz(3, 3)], 1, ids=["a", "b"])
     with pytest.raises(ValueError):
         classify([gen_ghz(3, 2)], 1, ids=["a", "b"])
-    assert classify([], 1) == {}
+    assert classify([], 1, ids=[]) == {}
+    with pytest.raises(TypeError):  # ids is keyword-only and required
+        classify([gen_ghz(3, 2), gen_w(3)], 2)
 
 
 def test_classify_csv_shape():
@@ -199,7 +205,7 @@ def test_dicke_scan_small_matches_generic_signature():
     # the generated state through every sigma of the set, as `signature` ranks it
     for levels, n, gen in ((3, 5, gen_dicke3), (4, 6, gen_dicke4)):
         pset, rows = dicke_scan(levels, n)
-        assert pset.labels() == permutation_set(n, n // 2).labels()
+        assert pset.labels == permutation_set(n, n // 2).labels
         for row in rows:
             sig = signature(gen(n, *row.occupations[1:]), n // 2)
             assert row.ranks == sig.ranks, row.occupations

@@ -206,6 +206,21 @@ def test_classify_csv_of_the_reference_table_is_pinned(tmp_path, monkeypatch, ca
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--kind", "w", "--n", "5"),
+     "2a115ea072243c0fbc5bc9a899f7460f03af2b8e782a6ab89cbc46fbc33acc53"),
+    (("--kind", "dicke3", "--n", "6", "--l1", "2", "--l2", "1"),
+     "133d93aa2eb6d37f25bb046208ff740e85871ab11f9da5538e611f557fa61b36"),
+    (("--kind", "dicke4", "--n", "6", "--l1", "1", "--l2", "2", "--l3", "1"),
+     "ad2a5cf0cad46c4ee328429779a9d3a6810beea551fa0138340fdeb1c59b901e"),
+])
+def test_gen_output_of_w_and_dicke_states_is_pinned(capsys, argv, digest):
+    # the bytes pin the generators' amplitude order, not just the set of terms
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_csv_quotes_ids_with_commas_and_quotes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     ids = ["a,b.json", 'say "hi".json']

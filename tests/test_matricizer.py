@@ -81,12 +81,12 @@ def test_permutation_parse_rejects_garbage():
 
 def test_permutation_set_4_2_pinned():
     pset = permutation_set(4, 2)
-    assert pset.labels() == ("I", "(1,3)", "(1,4)")
+    assert pset.labels == ("I", "(1,3)", "(1,4)")
 
 
 def test_permutation_set_builds_its_labels_once():
     pset = permutation_set(5, 2)
-    assert pset.labels() is pset.labels()
+    assert pset.labels is pset.labels
     other = permutation_set(5, 2)
     assert pset == other and hash(pset) == hash(other)
 
@@ -94,14 +94,14 @@ def test_permutation_set_builds_its_labels_once():
 def test_permutation_set_l1_family():
     for n in range(2, 7):
         pset = permutation_set(n, 1)
-        assert pset.labels() == ("I",) + tuple(
+        assert pset.labels == ("I",) + tuple(
             f"(1,{j})" for j in range(2, n + 1)
         )
 
 
 def test_permutation_set_5_2_pinned():
     pset = permutation_set(5, 2)
-    assert pset.labels() == (
+    assert pset.labels == (
         "I", "(1,3)", "(1,4)", "(1,5)", "(2,3)", "(2,4)", "(2,5)"
     )
 
@@ -111,7 +111,7 @@ def test_permutation_set_canonical_order():
     pset = permutation_set(6, 3)
     ks = [len(s.transpositions) for s in pset]
     assert ks == sorted(ks)
-    assert pset.labels()[0] == "I"
+    assert pset.labels[0] == "I"
     by_k = {}
     for s in pset:
         by_k.setdefault(len(s.transpositions), []).append(s.transpositions)
