@@ -17,6 +17,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, prod
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .scalars import ComplexRational, ZERO, gaussian_pairs
@@ -63,17 +64,10 @@ class ExactMatrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            out_i = out[i]
-            for k, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                other_k = other.data[k]
-                for j, b in enumerate(other_k):
-                    if not b.is_zero():
-                        out_i[j] = out_i[j] + a * b
-        return ExactMatrix(out)
+        cols = list(zip(*other.data))
+        return ExactMatrix(
+            [[sum(map(mul, row, col), ZERO) for col in cols] for row in self.data]
+        )
 
 
 def kron_all(mats: Sequence[ExactMatrix]) -> ExactMatrix:

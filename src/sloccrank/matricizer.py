@@ -157,27 +157,24 @@ class CoefficientMatrix:
         return ExactMatrix(grid)
 
     def support(self) -> ExactMatrix:
-        """The distinct nonzero rows x distinct nonzero columns.
+        """The distinct nonzero rows, on the nonzero columns.
 
         Same rank as to_matrix(), built from the entries without the zero
         cells of the full grid: zero rows and columns have no entry, and a
-        repeat of an earlier row or column, compared as a tuple of ints, is
-        dropped too. Neither changes the rank. With entries in row-major
-        order, the first occurrence in index order is kept.
+        repeat of an earlier row, compared as a tuple of ints, is dropped
+        too. Neither changes the rank. With entries in row-major order, the
+        first occurrence in index order is kept; columns stay in index
+        order, repeats included.
         """
         by_row: Dict[int, list] = {}
         for r, c, k in self.entries:
             by_row.setdefault(r, []).append((c, k))
         rows = dict.fromkeys(tuple(row) for row in by_row.values())
-        by_col: Dict[int, list] = {}  # column -> [(kept row position, code)]
-        for pos, row in enumerate(rows):
+        col = {c: j for j, c in enumerate(sorted({c for row in rows for c, _ in row}))}
+        grid = [[ZERO] * len(col) for _ in rows]
+        for out, row in zip(grid, rows):
             for c, k in row:
-                by_col.setdefault(c, []).append((pos, k))
-        cols = dict.fromkeys(tuple(by_col[c]) for c in sorted(by_col))
-        grid = [[ZERO] * len(cols) for _ in rows]
-        for j, col in enumerate(cols):
-            for pos, k in col:
-                grid[pos][j] = self.classes[k]
+                out[col[c]] = self.classes[k]
         return ExactMatrix(grid)
 
 

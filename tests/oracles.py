@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
-from sloccrank.linalg import ExactMatrix, kron_all
+from sloccrank.linalg import ExactMatrix
 from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import LocalOperatorSet
@@ -252,7 +252,7 @@ def apply_dense(state: QuditState, matrices) -> dict:
     matrices: list of ExactMatrix, one per site in site order.
     Returns the output amplitude map (may be all-zero).
     """
-    full = kron_all(matrices)
+    full = kron_by_digits(matrices)
     D = full.rows
     out = {}
     for t in range(D):
@@ -267,8 +267,21 @@ def apply_dense(state: QuditState, matrices) -> dict:
     return out
 
 
+def product_by_loops(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a times b, each cell summed over k by three explicit loops."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    grid = [[ZERO] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                grid[i][j] = grid[i][j] + a.data[i][k] * b.data[k][j]
+    return ExactMatrix(grid)
+
+
 def identity_dense(state: QuditState, ops: LocalOperatorSet, psi) -> bool:
-    """The matricization identity by dense Kronecker products and matmuls.
+    """The matricization identity by dense Kronecker and matrix products,
+    both this module's own (kron_by_digits, product_by_loops).
 
     At every split l and every sigma of its canonical set, M^sigma(psi) must
     equal (x row-block F) M^sigma(phi) (x column-block F)^T as full grids.
@@ -279,10 +292,12 @@ def identity_dense(state: QuditState, ops: LocalOperatorSet, psi) -> bool:
     for l in range(1, n):
         for sigma in permutation_set(n, l):
             order = sigma.site_order(n)
-            row_factors = kron_all([ops[q] for q in order[:l]])
-            col_factors = kron_all([ops[q] for q in order[l:]])
+            row_factors = kron_by_digits([ops[q] for q in order[:l]])
+            col_factors = kron_by_digits([ops[q] for q in order[l:]])
             m_phi = coefficient_matrix(state, l, sigma).to_matrix()
-            rhs = row_factors.matmul(m_phi).matmul(transpose(col_factors))
+            rhs = product_by_loops(
+                product_by_loops(row_factors, m_phi), transpose(col_factors)
+            )
             if psi is None:
                 lhs = ExactMatrix([[ZERO] * rhs.cols for _ in range(rhs.rows)])
             else:
@@ -387,3 +402,16 @@ def distinct_support_by_value(entries) -> ExactMatrix:
         for pos, v in col:
             grid[pos][j] = v
     return ExactMatrix(grid)
+
+
+def distinct_rows_by_value(entries) -> ExactMatrix:
+    """Distinct nonzero rows on the nonzero columns, rows compared as dense
+    tuples of values: (row, col, value) triples in row-major order in, the
+    rows' first occurrences in index order out, every nonzero column kept
+    in index order."""
+    cols = sorted({c for _, c, _ in entries})
+    by_row = {}
+    for r, c, v in entries:
+        by_row.setdefault(r, {})[c] = v
+    rows = dict.fromkeys(tuple(row.get(c, ZERO) for c in cols) for row in by_row.values())
+    return ExactMatrix(list(rows))

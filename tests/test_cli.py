@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import sloccrank.cli
 from sloccrank.classifier import table1_suite
 from sloccrank.cli import main
 from sloccrank.states import load_state, state_to_json
@@ -176,6 +177,17 @@ def test_table1_verb(capsys):
     assert code == 0
     assert "families=22 expected=22 failures=0" in out
     assert out.count(" ok") == 24
+
+
+def test_table1_verb_counts_a_wrong_label_and_exits_1(monkeypatch, capsys):
+    suite = table1_suite()
+    name, state, _ = suite[0]
+    suite[0] = (name, state, "F{0,0,0}@{I,(1,3),(1,4)}")
+    monkeypatch.setattr(sloccrank.cli, "table1_suite", lambda: suite)
+    code, out, _ = run(capsys, "table1")
+    assert code == 1
+    assert "families=22 expected=22 failures=1" in out
+    assert out.count(" FAIL") == 1 and out.count(" ok") == 23
 
 
 def test_classify_verb(tmp_path, capsys):

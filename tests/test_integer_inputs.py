@@ -33,7 +33,6 @@ from sloccrank.states import (
 
 from oracles import identity_ops
 
-GHZ = gen_ghz(3, 3)
 OPS = identity_ops((2, 3))
 
 # (entry point, call with x where an int belongs, documented exception)
@@ -47,8 +46,8 @@ ENTRY_POINTS = [
     ("split_capacity dims", lambda x: split_capacity((x, 2, 2), 1), TypeError),
     ("split_capacity l", lambda x: split_capacity((2, 2, 2), x), TypeError),
     ("optimal_split dims", lambda x: optimal_split((x, 2, 2)), TypeError),
-    ("coefficient_matrix l", lambda x: coefficient_matrix(GHZ, x), TypeError),
-    ("reduced_density", lambda x: reduced_density(GHZ, [x]), TypeError),
+    ("coefficient_matrix l", lambda x: coefficient_matrix(gen_ghz(3, 3), x), TypeError),
+    ("reduced_density", lambda x: reduced_density(gen_ghz(3, 3), [x]), TypeError),
     ("ops[site]", lambda x: OPS[x], IndexError),
     ("gen_ghz n", lambda x: gen_ghz(x, 2), TypeError),
     ("gen_ghz d", lambda x: gen_ghz(3, x), TypeError),

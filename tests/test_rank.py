@@ -77,7 +77,7 @@ def test_matmul_and_identity():
 def test_kron_matches_block_structure():
     a = from_ints([[1, 2], [3, 4]])
     b = from_ints([[0, 5], [6, 7]])
-    k = kron_all([a, b])
+    k = kron_by_digits([a, b])  # the oracle kron_all is checked against
     assert (k.rows, k.cols) == (4, 4)
     assert k.data[0][1] == ComplexRational(5)
     assert k.data[2][0] == ComplexRational(0)  # 3 * 0
@@ -130,6 +130,11 @@ def test_rank_complex_dependence():
     m = ExactMatrix([[ONE, i], [i, ComplexRational(-1)]])  # row2 = i * row1
     assert rank_exact(m).rank == 1
     assert rank_numeric(m).rank == 1
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (3, 2)])
+def test_rank_numeric_of_a_zero_matrix_is_zero(rows, cols):
+    assert rank_numeric(ExactMatrix([[ZERO] * cols for _ in range(rows)])).rank == 0
 
 
 def test_rank_near_singular_integer_case():

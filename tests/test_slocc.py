@@ -408,7 +408,6 @@ def test_apply_and_identity_do_no_scalar_arithmetic(monkeypatch):
 
 def test_identity_detects_wrong_routing():
     # a deliberately broken check: compare against factors NOT routed by sigma
-    from sloccrank.linalg import kron_all
     from sloccrank.matricizer import coefficient_matrix
 
     rng = random.Random(12)
@@ -420,10 +419,9 @@ def test_identity_detects_wrong_routing():
         psi = apply_local(s, ops)
         m_phi = coefficient_matrix(s, 1, sigma).to_matrix()
         m_psi = coefficient_matrix(psi, 1, sigma).to_matrix()
-        unrouted = (
-            kron_all([ops[1]])
-            .matmul(m_phi)
-            .matmul(transpose(kron_all([ops[2], ops[3]])))
+        unrouted = oracles.product_by_loops(
+            oracles.product_by_loops(oracles.kron_by_digits([ops[1]]), m_phi),
+            transpose(oracles.kron_by_digits([ops[2], ops[3]])),
         )
         if m_psi != unrouted:
             return  # mis-routing is observable, as it should be
@@ -496,6 +494,27 @@ def test_random_ilo_seed_reproducible():
     assert random_sparse_state((2, 3), random.Random(7)) == random_sparse_state(
         (2, 3), random.Random(7)
     )
+
+
+@pytest.mark.parametrize("draw", [random_ilo, random_local_possibly_singular])
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_random_local_draws_need_d_at_least_2(draw, d):
+    with pytest.raises(ValueError, match="need d >= 2"):
+        draw(d, random.Random(0))
+
+
+def test_random_ilo_gives_up_after_1000_singular_draws():
+    class ZeroRng:
+        calls = 0
+
+        def randint(self, a, b):
+            self.calls += 1
+            return 0
+
+    rng = ZeroRng()
+    with pytest.raises(RuntimeError, match="1000 attempts"):
+        random_ilo(2, rng)
+    assert rng.calls == 1000 * 2 * 2 * 2  # two parts per entry, d * d entries
 
 
 def test_random_dims_respects_caps():
@@ -651,15 +670,19 @@ def _sparse_state(seed):
     return random_sparse_state(small_dims(rng, 5, 3, 243), rng)
 
 
+# factories, so that a generator fault fails the test instead of its collection
 _STRUCTURED = [
-    gen_ghz(3, 2), gen_ghz(4, 3), gen_ghz(5, 2), gen_w(3), gen_w(5),
-    gen_dicke3(4, 1, 1), gen_dicke3(5, 2, 2), gen_dicke4(4, 1, 1, 1),
+    lambda: gen_ghz(3, 2), lambda: gen_ghz(4, 3), lambda: gen_ghz(5, 2),
+    lambda: gen_w(3), lambda: gen_w(5),
+    lambda: gen_dicke3(4, 1, 1), lambda: gen_dicke3(5, 2, 2),
+    lambda: gen_dicke4(4, 1, 1, 1),
     # GHZ on sites 1-3 times |00>: symmetric in two blocks of sites
-    QuditState((2,) * 5, {0: ONE, flat_index((1, 1, 1, 0, 0), (2,) * 5): ONE}),
+    lambda: QuditState((2,) * 5, {0: ONE, flat_index((1, 1, 1, 0, 0), (2,) * 5): ONE}),
 ]
 
 
-@given(st.one_of(st.integers(0, 10**6).map(_sparse_state), st.sampled_from(_STRUCTURED)),
+@given(st.one_of(st.integers(0, 10**6).map(_sparse_state),
+                 st.sampled_from(_STRUCTURED).map(lambda make: make())),
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_rank_table_obeys_the_rank_laws_of_an_independent_oracle(state, data):

@@ -206,6 +206,12 @@ def test_ghz_terms():
     assert all(a == ComplexRational(1) for a in s.amplitudes.values())
 
 
+@pytest.mark.parametrize("n,d", [(1, 2), (0, 3), (3, 1), (2, 0)])
+def test_ghz_needs_two_sites_of_two_levels(n, d):
+    with pytest.raises(ValueError, match="GHZ needs n >= 2 and d >= 2"):
+        gen_ghz(n, d)
+
+
 def test_w_terms():
     s = gen_w(4)
     kets = {mi for mi, _ in s.terms()}
