@@ -96,6 +96,12 @@ MUTANTS = [
     ("every amplitude gets code 0", "states.py",
      'object.__setattr__(self, "codes", tuple(codes))',
      'object.__setattr__(self, "codes", (0,) * len(codes))'),
+    ("format_rational skips the gcd", "scalars.py",
+     "g = gcd(num, den)",
+     "g = 1"),
+    ("ComplexRational skips normalization when d != 1", "scalars.py",
+     "if d == 1:",
+     "if d:"),
 ]
 
 

@@ -246,8 +246,8 @@ def rank_exact(m: ExactMatrix) -> RankResult:
     is scalar Bareiss's.
     """
     side = min(m.rows, m.cols)
-    # up to a side of 4 (the identity-check matrices, classify_dense's 4x4
-    # cuts) scalar Bareiss costs less than the pass and packed rows do
+    # up to a side of 4 (identity_trials' rank-table cuts, classify_dense's
+    # 4x4 cuts) scalar Bareiss costs less than the pass and packed rows do
     k = _independent_mod_p(m) if side > 4 else None
     if k == side:
         return RankResult(side)

@@ -242,7 +242,13 @@ def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix
     if len(set(sites)) != len(sites) or any(not 1 <= q <= n for q in sites):
         raise ValueError(f"invalid site subset {sites} for n={n}")
     rest = [q for q in range(1, n + 1) if q not in sites]
-    m = _matricize_by_order(state, sites + rest, len(sites)).to_matrix()
+    cm = _matricize_by_order(state, sites + rest, len(sites))
+    # M on the columns that hold an entry: a zero column adds nothing to M M^dagger
+    col = {c: j for j, c in enumerate(sorted({c for _, c, _ in cm.entries}))}
+    grid = [[ZERO] * len(col) for _ in range(cm.rows)]
+    for r, c, k in cm.entries:
+        grid[r][col[c]] = cm.classes[k]
+    m = ExactMatrix(grid)
     return m.matmul(m.dagger())
 
 

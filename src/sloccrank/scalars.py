@@ -5,13 +5,12 @@ All arithmetic is exact, so rank decisions downstream never depend on a
 floating tolerance. The arithmetic is + and * (no -, unary - or /), and it
 and == are only between ComplexRationals: an int or Fraction operand raises
 TypeError, and a value is != the int or Fraction it equals, so sum() needs
-start=ZERO. The constructor takes int or Fraction parts.
+start=ZERO. The constructor takes int parts only; others raise TypeError.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, List, Tuple
 
@@ -19,18 +18,12 @@ from typing import Collection, List, Tuple
 class ComplexRational:
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b=0, d=1):
-        # int parts over d = 1 are in lowest terms already
-        if type(a) is int and type(b) is int and type(d) is int and d == 1:
+    def __init__(self, a: int, b: int = 0, d: int = 1):
+        if type(a) is not int or type(b) is not int or type(d) is not int:
+            raise TypeError(f"parts must be ints, got {a!r}, {b!r}, {d!r}")
+        if d == 1:  # int parts over d = 1 are in lowest terms already
             self.a, self.b, self.d = a, b, d
             return
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            # ints have .numerator and .denominator too
-            da, db = a.denominator, b.denominator
-            den = lcm(da, db)
-            a = a.numerator * (den // da)
-            b = b.numerator * (den // db)
-            d = den * d
         if d == 0:
             raise ZeroDivisionError("zero denominator")
         if d < 0:
@@ -39,14 +32,6 @@ class ComplexRational:
         if g > 1:
             a, b, d = a // g, b // g, d // g
         self.a, self.b, self.d = a, b, d
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -107,31 +92,35 @@ def gaussian_pairs(values: Collection[ComplexRational]) -> Tuple[int, List[Tuple
     return den, [(v.a * (den // v.d), v.b * (den // v.d)) for v in values]
 
 
-# the text grammar of a rational part; [0-9], not \d, which takes any
-# Unicode digit
-_UNSIGNED = "[0-9]+(?:/[0-9]+)?"
+# the text grammar of a rational part, p and q in groups 1 and 2; [0-9], not
+# \d, which takes any Unicode digit
+_RATIONAL = re.compile("([+-]?[0-9]+)(?:/([0-9]+))?")
 # the spaces allowed around a number; a bare strip() also drops U+3000, U+00A0
 ASCII_WHITESPACE = " \t\r\n"
-_RATIONAL = re.compile(f"[+-]?{_UNSIGNED}")
 
 
-def format_rational(value: Fraction) -> str:
-    num, den = value.numerator, value.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
+def format_rational(num: int, den: int) -> str:
+    """num/den in lowest terms as "p" or "p/q"; den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q": an optional sign and ASCII digits, nothing else."""
+def parse_rational(text: str) -> Tuple[int, int]:
+    """Parse "p" or "p/q", an optional sign and ASCII digits and nothing else,
+    into ints (p, q) as written, with q = 1 for "p"; q > 0."""
     text = text.strip(ASCII_WHITESPACE)
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"malformed rational {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
-        raise ValueError(f"malformed rational {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match:
+        try:
+            p, q = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() reads
+            q = 0
+        if q:
+            return p, q
+    raise ValueError(f"malformed rational {text!r}")
 
 
 def format_scalar(z: ComplexRational) -> str:
     """Render as "re+imi" with both parts in p/q form, e.g. "1/2-3i"."""
     sign = "-" if z.b < 0 else "+"
-    return f"{format_rational(z.re)}{sign}{format_rational(abs(z.im))}i"
+    return f"{format_rational(z.a, z.d)}{sign}{format_rational(abs(z.b), z.d)}i"

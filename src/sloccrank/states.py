@@ -244,24 +244,28 @@ def state_to_json(state: QuditState) -> dict:
         "amplitudes": [
             {
                 "index": list(mi),
-                "re": format_rational(a.re),
-                "im": format_rational(a.im),
+                "re": format_rational(a.a, a.d),
+                "im": format_rational(a.b, a.d),
             }
             for mi, a in state.terms()
         ],
     }
 
 
-def _parse_part(value):
-    """parse_rational, with int() first for a plain integer literal; int()
+def _parse_amplitude(entry) -> ComplexRational:
+    """The entry's re + im*i. int() reads both parts first when their text is
+    printable ASCII without "_", where it agrees with parse_rational; int()
     also takes "_", non-ASCII digits and other spaces, which the grammar does not."""
-    text = str(value).strip(ASCII_WHITESPACE)
-    if text.isascii() and text.isprintable() and "_" not in text:
+    re = str(entry.get("re", "0")).strip(ASCII_WHITESPACE)
+    im = str(entry.get("im", "0")).strip(ASCII_WHITESPACE)
+    both = re + im
+    if both.isascii() and both.isprintable() and "_" not in both:
         try:
-            return int(text)
+            return ComplexRational(int(re), int(im))
         except ValueError:
             pass
-    return parse_rational(text)
+    (rp, rq), (ip, iq) = parse_rational(re), parse_rational(im)
+    return ComplexRational(rp * iq, ip * rq, rq * iq)
 
 
 _ENTRY_FIELDS = frozenset({"index", "re", "im"})
@@ -306,11 +310,9 @@ def state_from_json(obj) -> QuditState:
                 f"amplitude #{pos}: duplicate index {list(entry['index'])}"
             )
         try:
-            re = _parse_part(entry.get("re", "0"))
-            im = _parse_part(entry.get("im", "0"))
+            amps[i] = _parse_amplitude(entry)
         except ValueError as exc:
             raise StateFormatError(f"amplitude #{pos}: {exc}") from exc
-        amps[i] = ComplexRational(re, im)
     # QuditState drops zero amplitudes and rejects the zero state
     return QuditState(dims, amps)
 

@@ -10,15 +10,24 @@ at the top are what the tests construct their inputs with.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 
 from sloccrank.linalg import ExactMatrix
 from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import LocalOperatorSet
 from sloccrank.states import QuditState, flat_index, multiindex_of
+
+
+def int_parts(re, im=0):
+    """(a, b, d) with (a + b*i)/d == re + im*i, for int or Fraction re and im:
+    the integer parts a ComplexRational is built from."""
+    re, im = Fraction(re), Fraction(im)
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
 def from_ints(grid) -> ExactMatrix:

@@ -384,6 +384,21 @@ def test_reduced_density_multisite():
     assert rank_exact(rho).rank == 2
 
 
+def test_reduced_density_builds_no_full_grid(monkeypatch):
+    # M holds only the columns with an entry; a state whose zero columns are
+    # most of the grid still gives the full rows x rows density
+    def forbidden(self):
+        raise AssertionError("reduced_density densified the full grid")
+
+    monkeypatch.setattr(sloccrank.matricizer.CoefficientMatrix, "to_matrix", forbidden)
+    s = QuditState((3, 4, 5), {flat_index((0, 1, 2), (3, 4, 5)): ONE,
+                               flat_index((2, 3, 4), (3, 4, 5)): ComplexRational(1, 2, 3)})
+    for q in (1, 2, 3):
+        rho = reduced_density(s, [q])
+        assert rho == partial_trace(s, [q])
+        assert (rho.rows, rho.cols) == (s.dims[q - 1],) * 2
+
+
 def test_local_rank_equals_l1_matrix_rank():
     rng = random.Random(11)
     for _ in range(10):

@@ -9,7 +9,7 @@ one, reached through attributes, subscripts and method calls
 ``int(p) for p in text.split(",")``).
 
 Text parsing is where int() belongs: the CLI reads its arguments after
-matching them against an ASCII grammar, and scalars and states._parse_part
+matching them against an ASCII grammar, and scalars and states._parse_amplitude
 read rational text the same way.
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "sloccrank"
 
 # (module, function), with None for every function of the module
-ALLOWED = {("cli.py", None), ("scalars.py", None), ("states.py", "_parse_part")}
+ALLOWED = {("cli.py", None), ("scalars.py", None), ("states.py", "_parse_amplitude")}
 
 
 def _root(node):

@@ -24,6 +24,7 @@ from oracles import (
     det_rational,
     from_ints,
     identity_matrix,
+    int_parts,
     invert_exact,
     kron_by_digits,
     rank_mod_prime,
@@ -118,8 +119,8 @@ def test_rank_duplicate_rows_and_columns():
 def test_rank_rational_entries():
     m = ExactMatrix(
         [
-            [ComplexRational(Fraction(1, 2)), ComplexRational(Fraction(1, 3))],
-            [ComplexRational(Fraction(3, 2)), ComplexRational(1)],
+            [ComplexRational(1, 0, 2), ComplexRational(1, 0, 3)],
+            [ComplexRational(3, 0, 2), ComplexRational(1)],
         ]
     )
     assert rank_exact(m).rank == 1  # second row is 3x the first
@@ -199,10 +200,10 @@ def dense_matrices(draw):
     def entry():
         if rng.random() < holes:
             return ZERO
-        return ComplexRational(
+        return ComplexRational(*int_parts(
             Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3])),
             rng.randint(-4, 4),
-        )
+        ))
 
     r = draw(st.sampled_from([None, 1, 2, 3]))
     if r is None:
@@ -279,7 +280,7 @@ def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss(routes):
 def test_denominator_divisible_by_p_falls_back_to_bareiss(routes):
     # one block has determinant 1/p, the other loses it if its row is scaled
     # by p: an image mod p is singular whether 1/p maps to 0 or to p/p
-    inv_p = ComplexRational(Fraction(1, _P))
+    inv_p = ComplexRational(1, 0, _P)
     m = ExactMatrix(
         [
             [inv_p, ONE, ZERO, ZERO],
@@ -336,7 +337,8 @@ def low_rank_products(draw):
     c = random_int_matrix(rng, r, cols, bound=bound)
     grid = b.matmul(c).data
     for i in rng.sample(range(rows), rng.randint(0, 2)):
-        f = ComplexRational(Fraction(rng.randint(1, 9), rng.choice([2, 3, 10])), rng.randint(-2, 2))
+        f = ComplexRational(*int_parts(
+            Fraction(rng.randint(1, 9), rng.choice([2, 3, 10])), rng.randint(-2, 2)))
         grid[i] = [f * x for x in grid[i]]
     return ExactMatrix(grid)
 
@@ -385,7 +387,7 @@ def test_rank_agrees_with_modular_oracle(m):
 def test_rank_invariant_under_transpose_and_scaling(m):
     r = rank_exact(m).rank
     assert rank_exact(transpose(m)).rank == r
-    f = ComplexRational(Fraction(-3, 7), Fraction(2, 5))
+    f = ComplexRational(*int_parts(Fraction(-3, 7), Fraction(2, 5)))
     scaled = ExactMatrix([[f * x for x in m.data[0]]] + m.data[1:])
     assert rank_exact(scaled).rank == r
 
@@ -456,10 +458,10 @@ def det_test_matrices(draw):
     rng = random.Random(draw(st.integers(0, 10**6)))
     grid = [
         [
-            ComplexRational(
+            ComplexRational(*int_parts(
                 Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6])),
                 Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 5])),
-            )
+            ))
             for _ in range(d)
         ]
         for _ in range(d)
@@ -468,7 +470,7 @@ def det_test_matrices(draw):
     if shape == "zero_pivot":
         grid[0][0] = ZERO
     elif shape == "dependent_row" and d > 1:
-        f = ComplexRational(Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2))
+        f = ComplexRational(*int_parts(Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2)))
         grid[-1] = [f * x for x in grid[0]]
     return ExactMatrix(grid)
 

@@ -15,7 +15,7 @@ from sloccrank.states import (
     QuditState,
     StateFormatError,
     ZeroStateError,
-    _parse_part,
+    _parse_amplitude,
     check_dims,
     flat_index,
     gen_dicke3,
@@ -494,14 +494,15 @@ def test_integer_literal_parse_agrees_with_parse_rational(text):
         except ValueError:
             return "rejected"
 
-    value = outcome(parse_rational)
-    assert outcome(_parse_part) == value
+    pair = outcome(parse_rational)
+    value = pair if pair == "rejected" else ComplexRational(pair[0], pair[1], pair[1])
+    assert outcome(lambda t: _parse_amplitude({"re": t, "im": "1"})) == value
     doc = {"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": text, "im": "1"}]}
     if value == "rejected":
         with pytest.raises(StateFormatError, match="malformed rational"):
             state_from_json(doc)
     else:
-        assert state_from_json(doc).amplitudes == {0: ComplexRational(value, 1)}
+        assert state_from_json(doc).amplitudes == {0: value}
 
 
 def test_load_rejects_invalid_json(tmp_path):
