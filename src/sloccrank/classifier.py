@@ -18,6 +18,8 @@ from .linalg import rank_exact
 from .matricizer import (
     PermutationSet,
     coefficient_matrix,
+    dense_codes,
+    gathered_support,
     optimal_split,
     permutation_set,
     symmetric_matrix,
@@ -43,14 +45,19 @@ class RankSignature:
 def sigma_ranks(state: QuditState, pset: PermutationSet, memo: dict) -> Tuple[int, ...]:
     """Exact rank at each sigma of pset. A rank depends only on the bipartition
     {S, S^c}, S = sigma's first l sites (M at S^c is M at S transposed), so memo,
-    one per state, maps the side holding site 1 to its rank."""
+    one per state, maps the side holding site 1 to its rank. A dense state's
+    blocks are gathered with that side on the rows; a sparse state's come from
+    its sorted entries at sigma."""
     n, l = pset.n, pset.l
+    code_at = dense_codes(state)
     ranks = []
     for sigma in pset:
         order = sigma.site_order(n)
         key = frozenset(order[:l] if 1 in order[:l] else order[l:])
         if key not in memo:
-            memo[key] = rank_exact(coefficient_matrix(state, l, sigma).support()).rank
+            block = (coefficient_matrix(state, l, sigma).support() if code_at is None
+                     else gathered_support(state.dims, key, code_at, state.classes))
+            memo[key] = rank_exact(block).rank
         ranks.append(memo[key])
     return tuple(ranks)
 

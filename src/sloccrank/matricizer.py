@@ -9,6 +9,11 @@ side, paired by sorted order.
 Known quirk, implemented as specified: for odd n and l = (n-1)/2 the k-cap
 l - (n mod 2) excludes the full-replacement permutation even though the row
 and column pools would allow it.
+
+Ranking a cut needs only its support() block. A sparse state's block comes
+from the sorted entries of its coefficient matrix. A dense state's is
+gathered instead (gathered_support): its codes, laid out by flat index, are
+read one row at a time through a cached table of each row's flat indices.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import ExactMatrix
 from .scalars import ASCII_WHITESPACE, ComplexRational, ONE, ZERO
@@ -203,6 +208,59 @@ def coefficient_matrix(
                 "rows must come from the row block, columns from the column block"
             )
     return _matricize_by_order(state, sigma.site_order(n), l)
+
+
+# a state is dense, and gathers its cuts, when D <= GATHER_DENSITY * nnz and
+# D <= _GATHER_MAX_D. Up to 8, building a cut's table the first time costs
+# no more than the sorted route; the cap bounds the tables' memory.
+GATHER_DENSITY = 8
+_GATHER_MAX_D = 4096
+
+
+def dense_codes(state: QuditState) -> Optional[List[int]]:
+    """If the state is dense, 1 + its codes by flat index, 0 where the
+    amplitude is zero, so any() tells a nonzero line; None if it is not."""
+    D = prod(state.dims)
+    if D > _GATHER_MAX_D or D > GATHER_DENSITY * len(state.codes):
+        return None
+    code_at = [0] * D
+    for i, k in zip(state.amplitudes, state.codes):
+        code_at[i] = k + 1
+    return code_at
+
+
+def _offsets(dims: Tuple[int, ...], sites: Sequence[int]) -> List[int]:
+    """Flat-index offsets of the digits of sites, in lexicographic order."""
+    out = [0]
+    for q in sites:
+        stride = prod(dims[q:])
+        out = [o + j * stride for o in out for j in range(dims[q - 1])]
+    return out
+
+
+@lru_cache(maxsize=128)
+def _gather_table(dims: Tuple[int, ...], sites: FrozenSet[int]) -> Tuple[itemgetter, ...]:
+    """One itemgetter per row of the cut, rows and columns in sorted site
+    order: a row's flat indices are its base offset plus the column pattern."""
+    pattern = _offsets(dims, [q for q in range(1, len(dims) + 1) if q not in sites])
+    bases = _offsets(dims, sorted(sites))
+    return tuple(itemgetter(*map(base.__add__, pattern)) for base in bases)
+
+
+def gathered_support(
+    dims: Tuple[int, ...], sites: FrozenSet[int], code_at: List[int],
+    classes: Tuple[ComplexRational, ...],
+) -> ExactMatrix:
+    """The support() block of the cut with sites on the rows, read off
+    code_at (dense_codes): cell for cell, _matricize_by_order(state,
+    sorted(sites) + the rest in order, len(sites)).support(). A row is a
+    tuple of codes, at least two long; zero rows and repeated rows are
+    dropped, and the columns nonzero in some kept row stay, in index order."""
+    rows = [row for row in dict.fromkeys(g(code_at) for g in _gather_table(dims, sites))
+            if any(row)]
+    cols = [col for col in zip(*rows) if any(col)]
+    value = ((ZERO,) + classes).__getitem__
+    return ExactMatrix([list(map(value, row)) for row in zip(*cols)])
 
 
 def _sub_occupations(bounds: Sequence[int], size: int) -> List[Tuple[int, ...]]:

@@ -94,15 +94,23 @@ def test_signature_invariant_under_invertible_ops():
 
 
 def test_signature_drops_zero_and_repeated_lines_once_per_sigma(monkeypatch):
+    # one block per sigma, by either route: support() of the sorted entries
+    # or, for a dense state, the gathered block
     calls = []
 
     support = CoefficientMatrix.support
+    gathered_support = sloccrank.classifier.gathered_support
 
     def counting(cm):
         calls.append(cm)
         return support(cm)
 
+    def gathering(*args):
+        calls.append(args)
+        return gathered_support(*args)
+
     monkeypatch.setattr(CoefficientMatrix, "support", counting)
+    monkeypatch.setattr(sloccrank.classifier, "gathered_support", gathering)
     sig = signature(gen_w(5), 2)
     assert len(calls) == len(sig.sigma_set)
 

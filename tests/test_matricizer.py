@@ -2,17 +2,21 @@
 
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sloccrank.matricizer
-from sloccrank.linalg import rank_exact
+from sloccrank.linalg import ExactMatrix, rank_exact
 from sloccrank.matricizer import (
     QuditPermutation,
+    _matricize_by_order,
     coefficient_matrix,
+    dense_codes,
+    gathered_support,
     optimal_split,
     permutation_set,
     reduced_density,
@@ -34,11 +38,13 @@ from sloccrank.states import (
 )
 
 from oracles import (
+    all_bipartition_ranks,
     distinct_rows_by_value,
     distinct_support_by_value,
     from_ints,
     partial_trace,
     rank_mod_prime,
+    small_dims,
     symmetric_terms,
     transpose,
     value_entries,
@@ -247,16 +253,20 @@ def test_support_rank_matches_full_matrix_and_mod_prime(dims, seed):
             assert rank == rank_exact(full).rank == rank_mod_prime(full)
 
 
-def test_support_drops_zero_and_repeated_lines():
+def _lines_state():
     # rows (1, 2, 1, 0), 0, (1, 0, 1, 0), (1, 2, 1, 0): row 1 and column 3
     # are zero and row 3 repeats row 0, so they go; column 2 repeats
     # column 0 and stays
     dims = (4, 4)
     amps = {(0, 0): 1, (0, 1): 2, (0, 2): 1, (2, 0): 1, (2, 2): 1,
             (3, 0): 1, (3, 1): 2, (3, 2): 1}
-    s = QuditState(
+    return QuditState(
         dims, {flat_index(k, dims): ComplexRational(v) for k, v in amps.items()}
     )
+
+
+def test_support_drops_zero_and_repeated_lines():
+    s = _lines_state()
     cm = coefficient_matrix(s, 1)
     assert cm.support() == from_ints([[1, 2, 1], [1, 0, 1]])
     assert rank_exact(cm.support()).rank == rank_exact(cm.to_matrix()).rank == 2
@@ -288,6 +298,7 @@ def test_support_of_a_sparse_pooled_state_is_the_value_keyed_oracle(dims, seed):
     state = state_from_json({"dims": list(dims), "amplitudes": amplitudes})
     assert len(state.classes) <= len(pool)
     _assert_support_is_the_value_keyed_oracle(state)
+    _assert_gather_is_the_sorted_support(state)
 
 
 @given(dims_strategy, st.integers(0, 10_000))
@@ -298,6 +309,7 @@ def test_support_of_a_dense_state_is_the_value_keyed_oracle(dims, seed):
     state = QuditState(dims, {i: ComplexRational(rng.choice(parts), rng.choice(parts))
                               for i in range(prod(dims))})
     _assert_support_is_the_value_keyed_oracle(state)
+    _assert_gather_is_the_sorted_support(state)
 
 
 @pytest.mark.parametrize(
@@ -308,7 +320,87 @@ def test_support_of_a_dense_state_is_the_value_keyed_oracle(dims, seed):
 )
 def test_support_of_a_symmetric_state_is_the_value_keyed_oracle(make, args):
     # built here, not at collection, so a generator fault fails these cases
-    _assert_support_is_the_value_keyed_oracle(make(*args))
+    state = make(*args)
+    _assert_support_is_the_value_keyed_oracle(state)
+    _assert_gather_is_the_sorted_support(state)
+
+
+# -- the gather route ---------------------------------------------------------
+
+def _cuts(n):
+    """Every nonempty proper site set, as a sorted tuple."""
+    return [rows for k in range(1, n) for rows in combinations(range(1, n + 1), k)]
+
+
+def _gathered(state, rows):
+    """The gathered block of the cut with rows on the rows, whatever the
+    state's density."""
+    with mock.patch.object(sloccrank.matricizer, "GATHER_DENSITY", prod(state.dims)):
+        code_at = dense_codes(state)
+    return gathered_support(state.dims, frozenset(rows), code_at, state.classes)
+
+
+def _assert_gather_is_the_sorted_support(state):
+    # cell for cell, the sorted route's support() at the site order
+    # sorted(S) + sorted(S^c)
+    n = state.n
+    for rows in _cuts(n):
+        rest = [q for q in range(1, n + 1) if q not in rows]
+        by_sort = _matricize_by_order(state, list(rows) + rest, len(rows)).support()
+        assert _gathered(state, rows) == by_sort, rows
+
+
+def test_gather_drops_zero_and_repeated_lines():
+    s = _lines_state()
+    assert _gathered(s, (1,)) == from_ints([[1, 2, 1], [1, 0, 1]])
+    # the transpose: columns 3 (zero) and 2 (a repeat of 0) go as rows, and
+    # rows 0 and 3 stay as equal columns
+    assert _gathered(s, (2,)) == from_ints([[1, 1, 1], [2, 0, 2]])
+
+
+@pytest.mark.parametrize("dims,index", [((2, 2), 3), ((2, 3), 4), ((3, 2, 2), 7)])
+def test_gather_of_a_one_term_state_is_one_cell(dims, index):
+    # a one-column block, though every row the table reads is a tuple
+    value = ComplexRational(1, 2, 3)
+    state = QuditState(dims, {index: value})
+    for rows in _cuts(len(dims)):
+        assert _gathered(state, rows) == ExactMatrix([[value]]), rows
+    _assert_gather_is_the_sorted_support(state)
+
+
+@given(dims_strategy, st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_gather_of_a_rational_state_with_a_zero_slab_is_the_sorted_support(dims, seed):
+    # digit j of site q is zero throughout: zero rows at the cuts holding q,
+    # zero columns at the others
+    rng = random.Random(seed)
+    q = rng.randrange(len(dims))
+    j = rng.randrange(dims[q])
+    kept = [i for i in range(prod(dims)) if multiindex_of(i, dims)[q] != j]
+    amps = {i: rng.choice(_VALUES) for i in kept}
+    amps[kept[0]] = ComplexRational(1, 2, 3)
+    _assert_gather_is_the_sorted_support(QuditState(dims, amps))
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_gathered_ranks_are_the_bipartition_oracles(seed, dense):
+    rng = random.Random(seed)
+    dims = small_dims(rng, 5, 3, 243)
+    if dense:
+        state = QuditState(dims, {i: rng.choice(_VALUES) for i in range(prod(dims))})
+    else:
+        state = random_sparse_state(dims, rng)
+    for rows, rank in all_bipartition_ranks(state).items():
+        assert rank_exact(_gathered(state, rows)).rank == rank, sorted(rows)
+
+
+def test_dense_codes_lays_out_codes_by_flat_index():
+    a, b = ComplexRational(2), ComplexRational(0, 1)
+    state = QuditState((2, 4), {6: a, 1: b, 3: a})  # codes 0, 1, 0
+    assert dense_codes(state) == [0, 2, 0, 1, 0, 0, 1, 0]  # 1 + code, 0 for zero
+    # D = 8 <= 8 * 3 terms is dense; one term on 2^4 is not
+    assert dense_codes(QuditState((2,) * 4, {5: a})) is None
 
 
 # -- symmetric states --------------------------------------------------------

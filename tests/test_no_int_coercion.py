@@ -3,10 +3,14 @@
 An integer input is an int, checked by the function that reads it; int()
 would truncate 2.9 to 2, read True as 1 and "2" as 2, and so classify a
 system other than the one asked for. The check flags int(x) where x is one
-of the function's own parameters, or an element the function iterates from
-one, reached through attributes, subscripts and method calls
-(``int(d) for d in dims``, ``int(r) for r, c in self.pairs``,
-``int(p) for p in text.split(",")``).
+of the function's own parameters, an element the function iterates from
+one, or a name assigned from an expression that reads one, reached through
+attributes, subscripts and method calls (``int(d) for d in dims``,
+``int(r) for r, c in self.pairs``, ``int(p) for p in text.split(",")``,
+``y = x.strip(); int(y)``, ``m = PATTERN.fullmatch(text); int(m[1])``). A
+loop is followed only over a caller's value itself: the elements of
+``PATTERN.findall(text)`` are the pattern's, so ``QuditPermutation.parse``
+reads its grammar-checked digits unflagged.
 
 Text parsing is where int() belongs: the CLI reads its arguments after
 matching them against an ASCII grammar, and scalars and states._parse_amplitude
@@ -14,6 +18,7 @@ read rational text the same way.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sloccrank"
@@ -28,6 +33,11 @@ def _root(node):
     while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call, ast.Starred)):
         node = node.func if isinstance(node, ast.Call) else node.value
     return node.id if isinstance(node, ast.Name) else None
+
+
+def _names(node):
+    """Every name an expression or assignment target reads or binds."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
 def _functions(tree, prefix=""):
@@ -47,14 +57,16 @@ def _coercions(function):
     from_caller = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
     from_caller |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
     loops = [n for n in ast.walk(function) if isinstance(n, (ast.For, ast.comprehension))]
+    assigns = [n for n in ast.walk(function) if isinstance(n, ast.Assign)]
     grown = True
-    while grown:  # elements of elements count too
+    while grown:  # elements of elements, and names assigned from them, count too
         grown = False
-        for loop in loops:
-            if _root(loop.iter) in from_caller:
-                names = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
-                grown |= not names <= from_caller
-                from_caller |= names
+        flows = [(loop.target,) for loop in loops if _root(loop.iter) in from_caller]
+        flows += [a.targets for a in assigns if _names(a.value) & from_caller]
+        for targets in flows:
+            names = set().union(*map(_names, targets))
+            grown |= not names <= from_caller
+            from_caller |= names
     return sorted(
         n.lineno for n in ast.walk(function)
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "int"
@@ -91,12 +103,21 @@ def test_detector_sees_parameters_and_their_elements():
         "    return int(l), int(rest[0])\n"                  # 13: parameters
         "def fine(values, text):\n"
         "    n = int(np.sum(values))\n"                      # derived, not a parameter
-        "    t = str(text).strip()\n"
-        "    return n, int(t), [int(m) for m in PATTERN.findall(t)], int(len(values))\n"
+        "    return n, [int(m) for m in PATTERN.findall(text)], int(len(values))\n"
+        "def f(x):\n"
+        "    y = x\n"
+        "    return int(y)\n"                                # 19: a plain assignment
+        "def text(value, pair):\n"
+        "    t = str(value).strip()\n"
+        "    a, (b, c) = pair.split('/'), PATTERN.fullmatch(t).groups()\n"
+        "    return (int(t),\n"                               # 23: text of a parameter
+        "            int(a[0]),\n"                            # 24: a tuple target
+        "            int(c), int(len(t)))\n"                  # 25: a nested one
     )
     assert int_coercions({"m.py": source}) == [
         ("m.py", "P.post", 5), ("m.py", "check", 2), ("m.py", "direct", 13),
-        ("m.py", "nested", 11), ("m.py", "split", 7),
+        ("m.py", "f", 19), ("m.py", "nested", 11), ("m.py", "split", 7),
+        ("m.py", "text", 23), ("m.py", "text", 24), ("m.py", "text", 25),
     ]
     assert int_coercions({"cli.py": source}) == []
 
@@ -105,3 +126,12 @@ def test_no_function_in_src_coerces_a_callers_value():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 5
     assert int_coercions({p.name: p.read_text() for p in paths}) == []
+
+
+def test_the_allowed_parsers_are_what_the_detector_sees(monkeypatch):
+    # without ALLOWED, the text parsers are reported, and nothing else
+    monkeypatch.setattr(sys.modules[__name__], "ALLOWED", set())
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = {(module, name) for module, name, _ in int_coercions(sources)}
+    assert found == {("cli.py", "_integer"), ("scalars.py", "parse_rational"),
+                     ("states.py", "_parse_amplitude")}

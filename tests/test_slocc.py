@@ -545,7 +545,7 @@ def test_monotone_harness_passes_and_reports_skips():
 
 
 def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
-    calls = {"apply_local": 0, "rank_exact": 0, "matricize": 0}
+    calls = {"apply_local": 0, "rank_exact": 0, "matricize": 0, "gather": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -559,11 +559,17 @@ def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
     monkeypatch.setattr(
         sloccrank.classifier, "rank_exact", counting("rank_exact", rank_exact)
     )
-    # every coefficient matrix, whoever asks for it, is built here
+    # every coefficient matrix, whoever asks for it, is built here, and a
+    # dense state's rank blocks are gathered here
     monkeypatch.setattr(
         sloccrank.matricizer,
         "_matricize_by_order",
         counting("matricize", sloccrank.matricizer._matricize_by_order),
+    )
+    monkeypatch.setattr(
+        sloccrank.classifier,
+        "gathered_support",
+        counting("gather", sloccrank.classifier.gathered_support),
     )
     records = run_theorem1_trials(200, seed=20260823)
     assert all(r["result"] == "pass" for r in records)
@@ -573,7 +579,8 @@ def test_theorem1_harness_applies_and_ranks_once_per_need(monkeypatch):
     assert [len(_bipartitions(n)) for n in (2, 3, 4)] == [1, 3, 7]
     expected = sum(2 * len(_bipartitions(len(r["dims"]))) for r in records)
     assert calls["rank_exact"] == expected == 2544
-    assert calls["matricize"] == expected
+    assert calls["matricize"] + calls["gather"] == expected
+    assert calls["matricize"] and calls["gather"]  # both routes ran
 
 
 def _bipartitions(n):
@@ -712,6 +719,38 @@ def test_rank_table_obeys_the_rank_laws_of_an_independent_oracle(state, data):
             for sigma in permutation_set(n, l):
                 rows = frozenset(map(site, sigma.site_order(n)[:l]))
                 assert table[(l, sigma.label())] == ranks[rows], (l, sigma.label())
+
+
+@pytest.mark.parametrize("density,route", [(0, "sorted"), (10**6, "gathered")])
+def test_each_route_ranks_every_cut_as_the_oracle(monkeypatch, density, route):
+    # GATHER_DENSITY forces one route for every state: 0 keeps each one
+    # sparse, 10**6 makes each one dense
+    monkeypatch.setattr(sloccrank.matricizer, "GATHER_DENSITY", density)
+    calls = {"sorted": 0, "gathered": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(sloccrank.classifier, "coefficient_matrix",
+                        counting("sorted", sloccrank.classifier.coefficient_matrix))
+    monkeypatch.setattr(sloccrank.classifier, "gathered_support",
+                        counting("gathered", sloccrank.classifier.gathered_support))
+    states = [_sparse_state(seed) for seed in range(12)] + [make() for make in _STRUCTURED]
+    for state in states:
+        n = state.n
+        ranks = oracles.all_bipartition_ranks(state)
+        table = rank_table(state)
+        for l in range(1, n):
+            for sigma in permutation_set(n, l):
+                rows = frozenset(sigma.site_order(n)[:l])
+                assert table[(l, sigma.label())] == ranks[rows], (l, sigma.label())
+        sig = signature(state)
+        assert sig.ranks == tuple(table[(sig.split, label)] for label in sig.sigma_set.labels)
+    assert calls[route] > 0
+    assert sum(calls.values()) == calls[route]
 
 
 def _records_sha256(records):
