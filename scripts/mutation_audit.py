@@ -66,6 +66,18 @@ MUTANTS = [
     ("packed Bareiss sizes its slots for the entries alone", "linalg.py",
      "w = (8 * (k * a) ** k * (isqrt(((k - 1) * a) ** (k - 1)) + 1)).bit_length() + 2",
      "w = e.bit_length() + 2"),
+    ("the value table drops the common scale L", "linalg.py",
+     "self.pairs = gaussian_pairs(self.values)[1]",
+     "self.pairs = [(v.a, v.b) for v in self.values]"),
+    ("the value table's residues drop the imaginary part", "linalg.py",
+     "self.res = [(a + b * _SQRT_M1) % _P for a, b in self.pairs]",
+     "self.res = [a % _P for a, b in self.pairs]"),
+    ("packed Bareiss takes E from the first row, not the state's table", "linalg.py",
+     "_packed_bareiss_rank(rows, k, table.e)",
+     "_packed_bareiss_rank(rows, k, max(map(abs, chain.from_iterable(rows[0]))))"),
+    ("support() codes each value as the one before it", "matricizer.py",
+     "line[col[c]] = k + 1",
+     "line[col[c]] = k"),
     ("sigma validation accepts c = l", "matricizer.py",
      "if not (1 <= r <= l and l < c <= n):",
      "if not (1 <= r <= l and l <= c <= n):"),
@@ -82,8 +94,8 @@ MUTANTS = [
      "rows.append(ScanRow(counts, *orbit[key]))",
      "rows.append(ScanRow(counts, *orbit[max(orbit)]))"),
     ("symmetric_matrix puts every ONE in column 0", "matricizer.py",
-     "row[col_of[tuple(map(sub, counts, a))]] = ONE",
-     "row[0] = ONE"),
+     "line[col_of[tuple(map(sub, counts, a))]] = 1",
+     "line[0] = 1"),
     ("support() keeps repeated rows", "matricizer.py",
      "rows = dict.fromkeys(tuple(row) for row in by_row.values())",
      "rows = list(tuple(row) for row in by_row.values())"),

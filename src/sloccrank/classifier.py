@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .linalg import rank_exact
+from .linalg import ValueTable, rank_exact
 from .matricizer import (
     PermutationSet,
     coefficient_matrix,
@@ -47,16 +47,17 @@ def sigma_ranks(state: QuditState, pset: PermutationSet, memo: dict) -> Tuple[in
     {S, S^c}, S = sigma's first l sites (M at S^c is M at S transposed), so memo,
     one per state, maps the side holding site 1 to its rank. A dense state's
     blocks are gathered with that side on the rows; a sparse state's come from
-    its sorted entries at sigma."""
+    its sorted entries at sigma. Blocks share one ValueTable, built with the first."""
     n, l = pset.n, pset.l
     code_at = dense_codes(state)
-    ranks = []
+    table, ranks = None, []
     for sigma in pset:
         order = sigma.site_order(n)
         key = frozenset(order[:l] if 1 in order[:l] else order[l:])
         if key not in memo:
-            block = (coefficient_matrix(state, l, sigma).support() if code_at is None
-                     else gathered_support(state.dims, key, code_at, state.classes))
+            table = table or ValueTable(state.classes)
+            block = (coefficient_matrix(state, l, sigma).support(table) if code_at is None
+                     else gathered_support(state.dims, key, code_at, table))
             memo[key] = rank_exact(block).rank
         ranks.append(memo[key])
     return tuple(ranks)

@@ -1,14 +1,14 @@
 """Exact matrices over complex rationals and tolerance-free rank.
 
-From a shorter side of 5, the exact rank path maps the matrix to GF(p),
-p = 32749, where a + b*i becomes a + b*s with s*s = -1, and counts k, the
-lines of that side independent there before the first dependent one: k
-equal to the side certifies full rank. Otherwise `scalars.gaussian_pairs`
-scales each row to Gaussian-integer pairs, and k steps of one-step
-fraction-free (Bareiss) elimination on those rows, packed into big ints,
-prove rank k if they leave a zero remainder. Scalar Bareiss on the pairs
-decides the rest; `det_exact` runs it too. Floating point decides
-nothing: the numeric path is an SVD cross-check only.
+rank_exact reads a CodedBlock, rows of codes into a state's ValueTable: each
+value v as the Gaussian integer L*v (L the lcm of the denominators, which
+keeps every rank), its residue mod p = 32749 and the largest |part| E. From
+a shorter side of 5, the GF(p) pass on residues counts k, the lines of that
+side independent before the first dependent one: k equal to the side
+certifies full rank. Otherwise k steps of one-step fraction-free (Bareiss)
+elimination on the pairs, packed into big ints sized by E, prove rank k if
+they leave a zero remainder. Scalar Bareiss decides the rest, and
+`det_exact`. Floating point decides nothing: SVD is a cross-check only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, prod
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ComplexRational, ZERO, gaussian_pairs
 
@@ -138,32 +138,55 @@ _P, _SQRT_M1 = 32749, 15645
 _SLOT = (1 << 64) - 1
 
 
+class ValueTable:
+    """A state's values by code (0 for ZERO, k + 1 for classes[k]), each as the Gaussian
+    integer pair L*v (pairs), L the lcm of the denominators, and a + b*s mod p (res)."""
+
+    __slots__ = ("values", "pairs", "res", "e")
+
+    def __init__(self, classes: Sequence[ComplexRational]):
+        self.values = (ZERO, *classes)
+        self.pairs = gaussian_pairs(self.values)[1]
+        self.res = [(a + b * _SQRT_M1) % _P for a, b in self.pairs]
+        self.e = max(map(abs, chain.from_iterable(self.pairs)))
+
+
+class CodedBlock:
+    """A matrix as rows (lines) of codes into a ValueTable; data reads off its values."""
+
+    __slots__ = ("lines", "table", "rows", "cols")
+
+    def __init__(self, lines: Sequence[Sequence[int]], table: ValueTable):
+        self.lines, self.table = lines, table
+        self.rows, self.cols = len(lines), len(lines[0])
+
+    @property
+    def data(self) -> List[List[ComplexRational]]:
+        return [list(map(self.table.values.__getitem__, line)) for line in self.lines]
+
+
 def _pack64(x: List[int]) -> int:
     """x[0] + x[1] * 2**64 + ..., for entries in [0, 2**64)."""
     return int.from_bytes(array("Q", x), "little")
 
 
-def _independent_mod_p(m: ExactMatrix) -> int:
-    """k: how many lines of m's shorter side, in order, are independent over
-    GF(p) before the first dependent one.
+def _independent_mod_p(lines: Iterable[Sequence[int]], res: List[int]) -> int:
+    """k: how many lines of codes, in order, are independent over GF(p)
+    before the first dependent one, each code c read as res[c].
 
-    (a + b*i)/d -> (a + b*s)/d mod p, s*s = -1, is a ring homomorphism from
-    Z[i][1/d] to GF(p) when p does not divide d, so lines independent mod p
-    are independent over Q(i): the rank is at least k, and k equal to the
-    shorter side proves full rank. A denominator divisible by p ends the
-    pass. Each kept line is scaled to pivot 1 and is zero left of it and at
-    every earlier pivot. A line is reduced against a kept line by one
-    multiply-add on residues packed 64 bits per slot; each update adds under
-    p*p to a slot, so a slot stays far below 2**64 and nothing carries. A
-    line is packed only when it first needs an update.
+    a + b*i -> a + b*s mod p, s*s = -1, is a ring homomorphism from the
+    Gaussian integers to GF(p), so lines independent mod p are independent
+    over Q(i): the rank is at least k, and k equal to the shorter side
+    proves full rank. Each kept line is scaled to pivot 1 and is zero left
+    of it and at every earlier pivot. A line is reduced against a kept line
+    by one multiply-add on residues packed 64 bits per slot; each update
+    adds under p*p to a slot, so a slot stays far below 2**64 and nothing
+    carries. A line is packed only when it first needs an update.
     """
-    p, s = _P, _SQRT_M1
+    p = _P
     basis = []  # [pivot column, kept line, its packing or None]
-    for k, line in enumerate(zip(*m.data) if m.rows > m.cols else m.data):
-        try:
-            x = [(v.a + v.b * s) * (1 if v.d == 1 else pow(v.d, -1, p)) % p for v in line]
-        except ValueError:  # p divides a denominator
-            return k
+    for k, line in enumerate(lines):
+        x = list(map(res.__getitem__, line))
         packed = None
         for kept in basis:
             c = kept[0]
@@ -184,23 +207,22 @@ def _independent_mod_p(m: ExactMatrix) -> int:
     return len(basis)
 
 
-def _packed_bareiss_rank(rows: List[List[Tuple[int, int]]], budget: int) -> Optional[int]:
-    """The rank of Gaussian-integer rows if it is at most budget, else None.
+def _packed_bareiss_rank(rows: List[List[Tuple[int, int]]], budget: int, e: int) -> Optional[int]:
+    """The rank of Gaussian-integer rows, no |part| above e, if at most budget, else None.
 
     One-step Bareiss as in `_bareiss_rank`, for at most budget steps, on
     copies of the rows each packed as two ints, the real and the imaginary
     parts, in balanced signed slots of w bits: one big-int multiply-add
     updates a whole row, and a whole row is multiplied by the previous
     pivot's conjugate and divided exactly by its norm. After j steps an
-    entry is a (j + 1)-minor, so with E the largest |part| and Hadamard's
-    bound H_j = (2j * E**2)**(j/2) on a j-minor, every pivot and factor is
-    at most H_k (k = budget) and every value formed in a step at most
-    8 * H_k**2 * H_(k-1). w is two bits past that bound, so no slot ever
-    reaches half its width and no value is misread. Columns left of the
-    pivot column are zero in every row not yet a pivot, so a slot is read
-    by shift and mask.
+    entry is a (j + 1)-minor, so with Hadamard's bound H_j = (2j * e**2)**(j/2)
+    on a j-minor, every pivot and factor is at most H_k (k = budget) and
+    every value formed in a step at most 8 * H_k**2 * H_(k-1). w is two bits
+    past that bound, so no slot ever reaches half its width and no value is
+    misread; an e above the rows' own largest part only widens w. Columns
+    left of the pivot column are zero in every row not yet a pivot, so a
+    slot is read by shift and mask.
     """
-    e = max(map(abs, chain.from_iterable(chain.from_iterable(rows))))
     k, a = max(budget, 1), 2 * e * e
     w = (8 * (k * a) ** k * (isqrt(((k - 1) * a) ** (k - 1)) + 1)).bit_length() + 2
     mask, half = (1 << w) - 1, 1 << (w - 1)
@@ -237,7 +259,7 @@ def _packed_bareiss_rank(rows: List[List[Tuple[int, int]]], budget: int) -> Opti
     return None if any(map(any, packed[piv:])) else piv
 
 
-def rank_exact(m: ExactMatrix) -> RankResult:
+def rank_exact(m: CodedBlock) -> RankResult:
     """Exact rank over the complex rationals; deterministic for equal input.
 
     From a shorter side of 5, the GF(p) pass finds k lines independent: k
@@ -245,14 +267,15 @@ def rank_exact(m: ExactMatrix) -> RankResult:
     Bareiss prove rank k when they leave a zero remainder. Any other case
     is scalar Bareiss's.
     """
-    side = min(m.rows, m.cols)
+    side, table = min(m.rows, m.cols), m.table
     # up to a side of 4 (identity_trials' rank-table cuts, classify_dense's
     # 4x4 cuts) scalar Bareiss costs less than the pass and packed rows do
-    k = _independent_mod_p(m) if side > 4 else None
+    k = (_independent_mod_p(zip(*m.lines) if m.rows > m.cols else m.lines, table.res)
+         if side > 4 else None)
     if k == side:
         return RankResult(side)
-    rows = [gaussian_pairs(row)[1] for row in m.data]
-    if k is not None and (rank := _packed_bareiss_rank(rows, k)) is not None:
+    rows = [list(map(table.pairs.__getitem__, line)) for line in m.lines]
+    if k is not None and (rank := _packed_bareiss_rank(rows, k, table.e)) is not None:
         return RankResult(rank)
     return RankResult(_bareiss_rank(rows)[0])
 

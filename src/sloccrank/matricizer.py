@@ -10,10 +10,10 @@ Known quirk, implemented as specified: for odd n and l = (n-1)/2 the k-cap
 l - (n mod 2) excludes the full-replacement permutation even though the row
 and column pools would allow it.
 
-Ranking a cut needs only its support() block. A sparse state's block comes
-from the sorted entries of its coefficient matrix. A dense state's is
-gathered instead (gathered_support): its codes, laid out by flat index, are
-read one row at a time through a cached table of each row's flat indices.
+Ranking a cut needs only its support() block, rows of codes into a
+ValueTable. A sparse state's comes from its coefficient matrix's sorted
+entries; a dense state's is gathered (gathered_support): its codes, laid out
+by flat index, are read a row at a time via a cached table of row indices.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import prod
 from operator import itemgetter, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix
+from .linalg import CodedBlock, ExactMatrix, ValueTable
 from .scalars import ASCII_WHITESPACE, ComplexRational, ONE, ZERO
 from .states import QuditState, check_dims, reorder_indices
 
@@ -161,8 +161,8 @@ class CoefficientMatrix:
             grid[r][c] = self.classes[k]
         return ExactMatrix(grid)
 
-    def support(self) -> ExactMatrix:
-        """The distinct nonzero rows, on the nonzero columns.
+    def support(self, table: Optional[ValueTable] = None) -> CodedBlock:
+        """The distinct nonzero rows, on the nonzero columns, coded against table.
 
         Same rank as to_matrix(), built from the entries without the zero
         cells of the full grid: zero rows and columns have no entry, and a
@@ -176,11 +176,11 @@ class CoefficientMatrix:
             by_row.setdefault(r, []).append((c, k))
         rows = dict.fromkeys(tuple(row) for row in by_row.values())
         col = {c: j for j, c in enumerate(sorted({c for row in rows for c, _ in row}))}
-        grid = [[ZERO] * len(col) for _ in rows]
-        for out, row in zip(grid, rows):
+        lines = [[0] * len(col) for _ in rows]
+        for line, row in zip(lines, rows):
             for c, k in row:
-                out[col[c]] = self.classes[k]
-        return ExactMatrix(grid)
+                line[col[c]] = k + 1
+        return CodedBlock(lines, table or ValueTable(self.classes))
 
 
 def _matricize_by_order(
@@ -247,20 +247,16 @@ def _gather_table(dims: Tuple[int, ...], sites: FrozenSet[int]) -> Tuple[itemget
     return tuple(itemgetter(*map(base.__add__, pattern)) for base in bases)
 
 
-def gathered_support(
-    dims: Tuple[int, ...], sites: FrozenSet[int], code_at: List[int],
-    classes: Tuple[ComplexRational, ...],
-) -> ExactMatrix:
-    """The support() block of the cut with sites on the rows, read off
-    code_at (dense_codes): cell for cell, _matricize_by_order(state,
-    sorted(sites) + the rest in order, len(sites)).support(). A row is a
+def gathered_support(dims: Tuple[int, ...], sites: FrozenSet[int], code_at: List[int],
+                     table: ValueTable) -> CodedBlock:
+    """The support(table) block of the cut with sites on the rows, read off
+    code_at (dense_codes): code for code, _matricize_by_order(state,
+    sorted(sites) + the rest in order, len(sites)).support(table). A row is a
     tuple of codes, at least two long; zero rows and repeated rows are
     dropped, and the columns nonzero in some kept row stay, in index order."""
     rows = [row for row in dict.fromkeys(g(code_at) for g in _gather_table(dims, sites))
             if any(row)]
-    cols = [col for col in zip(*rows) if any(col)]
-    value = ((ZERO,) + classes).__getitem__
-    return ExactMatrix([list(map(value, row)) for row in zip(*cols)])
+    return CodedBlock(list(zip(*[col for col in zip(*rows) if any(col)])), table)
 
 
 def _sub_occupations(bounds: Sequence[int], size: int) -> List[Tuple[int, ...]]:
@@ -269,22 +265,22 @@ def _sub_occupations(bounds: Sequence[int], size: int) -> List[Tuple[int, ...]]:
     return [a for a in product(*ranges) if sum(a) == size]
 
 
-def symmetric_matrix(n: int, l: int, counts: Tuple[int, ...]) -> ExactMatrix:
+def symmetric_matrix(n: int, l: int, counts: Tuple[int, ...]) -> CodedBlock:
     """Merged l | n-l matricization of the Dicke state |D_c>, c = counts.
 
     |D_c> sums every digit string with level counts c. A row of the full
     matricization depends only on its digits' counts a, a column only on b,
     so the full matrix has the rank of M[a, b] = [a + b = c]: rows are the
     size-l tuples a <= c, columns the size-(n-l) b <= c, lex order. It is a
-    permutation matrix, with ONE at row a and column c - a.
+    permutation matrix, with ONE (code 1) at row a and column c - a.
     """
     _check_split(n, l)
     rows = _sub_occupations(counts, l)
     col_of = {b: j for j, b in enumerate(_sub_occupations(counts, n - l))}
-    grid = [[ZERO] * len(col_of) for _ in rows]
-    for row, a in zip(grid, rows):
-        row[col_of[tuple(map(sub, counts, a))]] = ONE
-    return ExactMatrix(grid)
+    lines = [[0] * len(col_of) for _ in rows]
+    for line, a in zip(lines, rows):
+        line[col_of[tuple(map(sub, counts, a))]] = 1
+    return CodedBlock(lines, ValueTable((ONE,)))
 
 
 def reduced_density(state: QuditState, row_qudits: Sequence[int]) -> ExactMatrix:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
 
-from sloccrank.linalg import ExactMatrix
+from sloccrank.linalg import CodedBlock, ExactMatrix, ValueTable
 from sloccrank.matricizer import coefficient_matrix, permutation_set
 from sloccrank.scalars import ComplexRational, ONE, ZERO
 from sloccrank.slocc import LocalOperatorSet
@@ -32,6 +32,19 @@ def int_parts(re, im=0):
 
 def from_ints(grid) -> ExactMatrix:
     return ExactMatrix([[ComplexRational(x) for x in row] for row in grid])
+
+
+def coded(m: ExactMatrix) -> CodedBlock:
+    """m as rank_exact takes it: each cell a code, 0 for zero and k + 1 for
+    the k-th distinct nonzero value in row-major order, against one table."""
+    classes = list(dict.fromkeys(x for row in m.data for x in row if x))
+    code = {v: k for k, v in enumerate(classes, 1)}
+    return CodedBlock([[code.get(x, 0) for x in row] for row in m.data], ValueTable(classes))
+
+
+def decoded(block: CodedBlock) -> ExactMatrix:
+    """The values a coded block stands for, as an ExactMatrix."""
+    return ExactMatrix(block.data)
 
 
 def identity_matrix(d: int) -> ExactMatrix:

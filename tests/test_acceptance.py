@@ -34,7 +34,7 @@ from sloccrank.slocc import (
 )
 from sloccrank.states import gen_dicke3, gen_ghz
 
-from oracles import from_ints, partial_trace, rank_mod_prime, small_dims
+from oracles import coded, from_ints, partial_trace, rank_mod_prime, small_dims
 
 SEED = 20260823
 
@@ -72,7 +72,7 @@ def test_c02_ghz_rank_is_local_dimension():
             for l in range(1, n):
                 for sigma in permutation_set(n, l):
                     r = rank_exact(
-                        coefficient_matrix(state, l, sigma).to_matrix()
+                        coded(coefficient_matrix(state, l, sigma).to_matrix())
                     ).rank
                     if r != d:
                         bad.append((n, d, l, sigma.label(), r))
@@ -135,7 +135,7 @@ def test_c07_reduced_density_consistency():
                 ok = False
             sigma = permutation_set(len(dims), 1).sigmas[q - 1]
             m = coefficient_matrix(state, 1, sigma).to_matrix()
-            if rank_exact(rho).rank != rank_exact(m).rank:
+            if rank_exact(coded(rho)).rank != rank_exact(coded(m)).rank:
                 ok = False
         checked += 1
     _report(7, "reduced density == brute-force partial trace", ok,
@@ -151,7 +151,7 @@ def test_c08_exact_numeric_rank_agreement():
         m = from_ints(
             [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         )
-        if rank_numeric(m).rank != rank_exact(m).rank:
+        if rank_numeric(m).rank != rank_exact(coded(m)).rank:
             mismatches += 1
     _report(8, "exact vs numeric rank on 100 random matrices",
             mismatches == 0, f"mismatches={mismatches}")

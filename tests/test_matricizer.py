@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sloccrank.matricizer
-from sloccrank.linalg import ExactMatrix, rank_exact
+from sloccrank.linalg import ExactMatrix, ValueTable, rank_exact
 from sloccrank.matricizer import (
     QuditPermutation,
     _matricize_by_order,
@@ -39,6 +39,8 @@ from sloccrank.states import (
 
 from oracles import (
     all_bipartition_ranks,
+    coded,
+    decoded,
     distinct_rows_by_value,
     distinct_support_by_value,
     from_ints,
@@ -223,7 +225,7 @@ def test_rank_is_transpose_symmetric_across_split(dims, seed):
     n = len(dims)
     for l in range(1, n):
         m = coefficient_matrix(s, l).to_matrix()
-        assert rank_exact(m).rank == rank_exact(transpose(m)).rank
+        assert rank_exact(coded(m)).rank == rank_exact(coded(transpose(m))).rank
 
 
 # few distinct values, some with non-unit denominators, so rows and columns
@@ -250,7 +252,7 @@ def test_support_rank_matches_full_matrix_and_mod_prime(dims, seed):
             cm = coefficient_matrix(s, l, sigma)
             full = cm.to_matrix()
             rank = rank_exact(cm.support()).rank
-            assert rank == rank_exact(full).rank == rank_mod_prime(full)
+            assert rank == rank_exact(coded(full)).rank == rank_mod_prime(full)
 
 
 def _lines_state():
@@ -268,8 +270,8 @@ def _lines_state():
 def test_support_drops_zero_and_repeated_lines():
     s = _lines_state()
     cm = coefficient_matrix(s, 1)
-    assert cm.support() == from_ints([[1, 2, 1], [1, 0, 1]])
-    assert rank_exact(cm.support()).rank == rank_exact(cm.to_matrix()).rank == 2
+    assert decoded(cm.support()) == from_ints([[1, 2, 1], [1, 0, 1]])
+    assert rank_exact(cm.support()).rank == rank_exact(coded(cm.to_matrix())).rank == 2
 
 
 def _assert_support_is_the_value_keyed_oracle(state):
@@ -277,7 +279,7 @@ def _assert_support_is_the_value_keyed_oracle(state):
     for l in range(1, n):
         for sigma in permutation_set(n, l):
             oracle = distinct_rows_by_value(value_entries(state, l, sigma))
-            assert coefficient_matrix(state, l, sigma).support() == oracle, (l, sigma)
+            assert decoded(coefficient_matrix(state, l, sigma).support()) == oracle, (l, sigma)
 
 
 # value texts for state JSON; each parsed amplitude is an object of its own
@@ -337,25 +339,25 @@ def _gathered(state, rows):
     state's density."""
     with mock.patch.object(sloccrank.matricizer, "GATHER_DENSITY", prod(state.dims)):
         code_at = dense_codes(state)
-    return gathered_support(state.dims, frozenset(rows), code_at, state.classes)
+    return gathered_support(state.dims, frozenset(rows), code_at, ValueTable(state.classes))
 
 
 def _assert_gather_is_the_sorted_support(state):
-    # cell for cell, the sorted route's support() at the site order
+    # code for code, the sorted route's support() at the site order
     # sorted(S) + sorted(S^c)
     n = state.n
     for rows in _cuts(n):
         rest = [q for q in range(1, n + 1) if q not in rows]
         by_sort = _matricize_by_order(state, list(rows) + rest, len(rows)).support()
-        assert _gathered(state, rows) == by_sort, rows
+        assert list(map(list, _gathered(state, rows).lines)) == by_sort.lines, rows
 
 
 def test_gather_drops_zero_and_repeated_lines():
     s = _lines_state()
-    assert _gathered(s, (1,)) == from_ints([[1, 2, 1], [1, 0, 1]])
+    assert decoded(_gathered(s, (1,))) == from_ints([[1, 2, 1], [1, 0, 1]])
     # the transpose: columns 3 (zero) and 2 (a repeat of 0) go as rows, and
     # rows 0 and 3 stay as equal columns
-    assert _gathered(s, (2,)) == from_ints([[1, 1, 1], [2, 0, 2]])
+    assert decoded(_gathered(s, (2,))) == from_ints([[1, 1, 1], [2, 0, 2]])
 
 
 @pytest.mark.parametrize("dims,index", [((2, 2), 3), ((2, 3), 4), ((3, 2, 2), 7)])
@@ -364,7 +366,7 @@ def test_gather_of_a_one_term_state_is_one_cell(dims, index):
     value = ComplexRational(1, 2, 3)
     state = QuditState(dims, {index: value})
     for rows in _cuts(len(dims)):
-        assert _gathered(state, rows) == ExactMatrix([[value]]), rows
+        assert decoded(_gathered(state, rows)) == ExactMatrix([[value]]), rows
     _assert_gather_is_the_sorted_support(state)
 
 
@@ -408,7 +410,7 @@ def test_dense_codes_lays_out_codes_by_flat_index():
 def test_symmetric_matrix_of_one_dicke_class_is_a_permutation():
     m = symmetric_matrix(4, 2, (2, 1, 1))
     # rows (0,1,1), (1,0,1), (1,1,0), (2,0,0); column b = (2,1,1) - a
-    assert m == from_ints(
+    assert decoded(m) == from_ints(
         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     )
 
@@ -452,7 +454,7 @@ def test_dicke_support_is_its_one_class_matrix(levels, n, occupations):
             assert m.rows == one_class.rows, (l, sigma)
             block = [(r, c, v) for r, row in enumerate(m.data)
                      for c, v in enumerate(row) if not v.is_zero()]
-            assert distinct_support_by_value(block) == one_class, (l, sigma)
+            assert distinct_support_by_value(block) == decoded(one_class), (l, sigma)
 
 
 # -- reduced density --------------------------------------------------------
@@ -473,7 +475,7 @@ def test_reduced_density_multisite():
     s = gen_ghz(4, 2)
     rho = reduced_density(s, [1, 3])
     assert rho == partial_trace(s, [1, 3])
-    assert rank_exact(rho).rank == 2
+    assert rank_exact(coded(rho)).rank == 2
 
 
 def test_reduced_density_builds_no_full_grid(monkeypatch):
@@ -501,7 +503,7 @@ def test_local_rank_equals_l1_matrix_rank():
                 QuditPermutation(()) if q == 1 else QuditPermutation(((1, q),))
             )
             m = coefficient_matrix(s, 1, sigma).to_matrix()
-            assert rank_exact(reduced_density(s, [q])).rank == rank_exact(m).rank
+            assert rank_exact(coded(reduced_density(s, [q]))).rank == rank_exact(coded(m)).rank
 
 
 def test_reduced_density_rejects_bad_subsets():

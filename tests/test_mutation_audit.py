@@ -17,7 +17,7 @@ def _audit():
 
 def test_every_mutant_text_occurs_once_in_its_module():
     audit = _audit()
-    assert len(audit.MUTANTS) == 25
+    assert len(audit.MUTANTS) == 29
     assert audit.stale_mutants() == []
 
 

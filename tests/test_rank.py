@@ -18,9 +18,10 @@ from sloccrank.linalg import (
     rank_exact,
     rank_numeric,
 )
-from sloccrank.scalars import ComplexRational, ONE, ZERO, gaussian_pairs
+from sloccrank.scalars import ComplexRational, ONE, ZERO
 
 from oracles import (
+    coded,
     det_rational,
     from_ints,
     identity_matrix,
@@ -101,19 +102,19 @@ def test_dagger_conjugates():
 # -- exact rank: pinned cases ----------------------------------------------
 
 def test_rank_zero_matrix():
-    res = rank_exact(from_ints([[0, 0], [0, 0]]))
+    res = rank_exact(coded(from_ints([[0, 0], [0, 0]])))
     assert res.rank == 0
 
 
 def test_rank_identity():
-    assert rank_exact(identity_matrix(5)).rank == 5
+    assert rank_exact(coded(identity_matrix(5))).rank == 5
 
 
 def test_rank_duplicate_rows_and_columns():
     m = from_ints(
         [[1, 2, 1], [1, 2, 1], [2, 4, 2], [0, 1, 0]]
     )
-    assert rank_exact(m).rank == 2
+    assert rank_exact(coded(m)).rank == 2
 
 
 def test_rank_rational_entries():
@@ -123,13 +124,13 @@ def test_rank_rational_entries():
             [ComplexRational(3, 0, 2), ComplexRational(1)],
         ]
     )
-    assert rank_exact(m).rank == 1  # second row is 3x the first
+    assert rank_exact(coded(m)).rank == 1  # second row is 3x the first
 
 
 def test_rank_complex_dependence():
     i = ComplexRational(0, 1)
     m = ExactMatrix([[ONE, i], [i, ComplexRational(-1)]])  # row2 = i * row1
-    assert rank_exact(m).rank == 1
+    assert rank_exact(coded(m)).rank == 1
     assert rank_numeric(m).rank == 1
 
 
@@ -141,12 +142,12 @@ def test_rank_numeric_of_a_zero_matrix_is_zero(rows, cols):
 def test_rank_near_singular_integer_case():
     # Determinant 1 despite large entries: exact path must say full rank
     m = from_ints([[10**6, 10**6 - 1], [10**6 + 1, 10**6]])
-    assert rank_exact(m).rank == 2
+    assert rank_exact(coded(m)).rank == 2
 
 
 def test_rank_skips_zero_rows_and_columns():
     m = from_ints([[0, 0, 0], [0, 3, 0], [0, 0, 0], [0, 1, 5]])
-    assert rank_exact(m).rank == 2
+    assert rank_exact(coded(m)).rank == 2
 
 
 @st.composite
@@ -223,7 +224,7 @@ def dense_matrices(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_rank_matches_the_oracle_on_sparse_dense_and_repeated_line_matrices(m):
-    assert rank_exact(m).rank == rank_mod_prime(m)
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m)
 
 
 # -- the GF(p) pass, the packed Bareiss and the fallback ---------------------
@@ -249,6 +250,19 @@ def routes(monkeypatch):
     return taken
 
 
+def independent_lines(m):
+    """The GF(p) pass over m's rows, as lines of codes and the residues of
+    their table."""
+    block = coded(m)
+    return _independent_mod_p(block.lines, block.table.res)
+
+
+def pair_rows(m):
+    """m's rows as Gaussian-integer pairs at one scale, and their largest part."""
+    block = coded(m)
+    return [[block.table.pairs[c] for c in line] for line in block.lines], block.table.e
+
+
 def padded_to_5(m):
     """m with an identity block added below and right of it, 5x5 in all, so
     rank_exact runs the GF(p) pass on it; the rank grows by 5 - m.rows."""
@@ -272,14 +286,14 @@ def test_full_rank_that_vanishes_mod_p_falls_back_to_bareiss(routes):
         ]
     )
     m = padded_to_5(m)
-    assert _independent_mod_p(m) < 5
-    assert rank_exact(m).rank == rank_mod_prime(m) == 5
+    assert independent_lines(m) < 5
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m) == 5
     assert routes == ["pass", "packed", "scalar"]
 
 
 def test_denominator_divisible_by_p_falls_back_to_bareiss(routes):
-    # one block has determinant 1/p, the other loses it if its row is scaled
-    # by p: an image mod p is singular whether 1/p maps to 0 or to p/p
+    # one block has determinant 1/p; the table scales every value by L = p,
+    # so ONE becomes p and the second row vanishes mod p: the pass stops there
     inv_p = ComplexRational(1, 0, _P)
     m = ExactMatrix(
         [
@@ -290,8 +304,8 @@ def test_denominator_divisible_by_p_falls_back_to_bareiss(routes):
         ]
     )
     m = padded_to_5(m)
-    assert _independent_mod_p(m) < 5
-    assert rank_exact(m).rank == rank_mod_prime(m) == 5
+    assert independent_lines(m) < 5
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m) == 5
     assert routes == ["pass", "packed", "scalar"]
 
 
@@ -302,27 +316,27 @@ def test_certificate_reduces_lines_whose_pivots_are_out_of_column_order(routes):
     # The pass stops at the third row, so a budget of 2 is short of rank 4.
     a, b = ComplexRational(1, -1), ComplexRational(-1, -1)
     m = padded_to_5(ExactMatrix([[ZERO, b, a], [b, a, ZERO], [a, ZERO, a]]))
-    assert _independent_mod_p(m) < 5
-    assert rank_exact(m).rank == rank_mod_prime(m) == 4
+    assert independent_lines(m) < 5
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m) == 4
     assert routes == ["pass", "packed", "scalar"]
 
 
 def test_rank_routes_by_side_and_by_the_pass(routes):
     # up to a side of 4 only scalar Bareiss runs
-    assert rank_exact(identity_matrix(4)).rank == 4
-    assert rank_exact(from_ints([[1, 2, 3, 4, 5, 6]] * 4)).rank == 1
+    assert rank_exact(coded(identity_matrix(4))).rank == 4
+    assert rank_exact(coded(from_ints([[1, 2, 3, 4, 5, 6]] * 4))).rank == 1
     assert routes == ["scalar", "scalar"]
     # from a side of 5 a full rank is the pass's alone, on its shorter side
     routes.clear()
-    assert rank_exact(identity_matrix(5)).rank == 5
+    assert rank_exact(coded(identity_matrix(5))).rank == 5
     wide = from_ints([[int(i == j or j == 6) for j in range(7)] for i in range(5)])
-    assert rank_exact(wide).rank == rank_exact(transpose(wide)).rank == 5
+    assert rank_exact(coded(wide)).rank == rank_exact(coded(transpose(wide))).rank == 5
     assert routes == ["pass"] * 3
     # a rank-2 product: the pass keeps 2 lines and packed Bareiss proves rank 2
     routes.clear()
     rng = random.Random(16)
     m = random_int_matrix(rng, 16, 2).matmul(random_int_matrix(rng, 2, 16))
-    assert rank_exact(m).rank == rank_mod_prime(m) == 2
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m) == 2
     assert routes == ["pass", "packed"]
 
 
@@ -347,8 +361,8 @@ def low_rank_products(draw):
 @settings(max_examples=60, deadline=None)
 def test_packed_bareiss_gives_the_rank_within_its_budget_and_none_past_it(m, budget):
     rank = rank_mod_prime(m)
-    rows = [gaussian_pairs(row)[1] for row in m.data]
-    assert _packed_bareiss_rank(rows, budget) == (rank if budget >= rank else None)
+    rows, e = pair_rows(m)
+    assert _packed_bareiss_rank(rows, budget, e) == (rank if budget >= rank else None)
 
 
 def test_packed_bareiss_slots_hold_a_hadamard_tight_minor():
@@ -360,17 +374,31 @@ def test_packed_bareiss_slots_hold_a_hadamard_tight_minor():
         h = [row + row for row in h] + [row + [-x for x in row] for row in h]
     h.append([x + y for x, y in zip(h[0], h[1])])
     m = ExactMatrix([[ComplexRational(x, x) for x in row] for row in h])
-    rows = [gaussian_pairs(row)[1] for row in m.data]
-    assert _packed_bareiss_rank(rows, 16) == rank_mod_prime(m) == 16
-    assert _packed_bareiss_rank(rows, 15) is None
+    rows = [[(x, x) for x in row] for row in h]
+    assert _packed_bareiss_rank(rows, 16, 1) == rank_mod_prime(m) == 16
+    assert _packed_bareiss_rank(rows, 15, 1) is None
+
+
+def test_packed_bareiss_is_sized_by_the_largest_part_of_the_table(routes):
+    # a rank-2 block: a first row of ones, then combinations a*r0 + b*r1 with
+    # a and b near 2**30. Slots sized for the first row's parts alone would
+    # read each factor mod their width, and the packed steps would leave a
+    # nonzero remainder
+    rng = random.Random(7)
+    r0, r1 = [1] * 6, list(range(6))
+    m = from_ints([r0] + [[a * x + b * y for x, y in zip(r0, r1)]
+                          for a, b in ((rng.randint(2**29, 2**30), rng.randint(2**29, 2**30))
+                                       for _ in range(5))])
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m) == 2
+    assert routes == ["pass", "packed"]
 
 
 def test_rank_exact_deterministic():
     rng = random.Random(5)
     m = random_int_matrix(rng, 7, 7)
-    first = rank_exact(m)
+    first = rank_exact(coded(m))
     for _ in range(3):
-        again = rank_exact(m)
+        again = rank_exact(coded(m))
         assert again == first
 
 
@@ -379,17 +407,17 @@ def test_rank_exact_deterministic():
 @given(small_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_agrees_with_modular_oracle(m):
-    assert rank_exact(m).rank == rank_mod_prime(m)
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m)
 
 
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_invariant_under_transpose_and_scaling(m):
-    r = rank_exact(m).rank
-    assert rank_exact(transpose(m)).rank == r
+    r = rank_exact(coded(m)).rank
+    assert rank_exact(coded(transpose(m))).rank == r
     f = ComplexRational(*int_parts(Fraction(-3, 7), Fraction(2, 5)))
     scaled = ExactMatrix([[f * x for x in m.data[0]]] + m.data[1:])
-    assert rank_exact(scaled).rank == r
+    assert rank_exact(coded(scaled)).rank == r
 
 
 @given(small_matrices(), small_matrices())
@@ -397,20 +425,20 @@ def test_rank_invariant_under_transpose_and_scaling(m):
 def test_rank_of_product_bounded(a, b):
     if a.cols != b.rows:
         return
-    r = rank_exact(a.matmul(b)).rank
-    assert r <= min(rank_exact(a).rank, rank_exact(b).rank)
+    r = rank_exact(coded(a.matmul(b))).rank
+    assert r <= min(rank_exact(coded(a)).rank, rank_exact(coded(b)).rank)
 
 
 @given(small_matrices())
 @settings(max_examples=40, deadline=None)
 def test_gram_matrix_has_same_rank(m):
-    assert rank_exact(m.matmul(m.dagger())).rank == rank_exact(m).rank
+    assert rank_exact(coded(m.matmul(m.dagger()))).rank == rank_exact(coded(m)).rank
 
 
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_numeric_rank_matches_exact_on_small_int_matrices(m):
-    assert rank_numeric(m).rank == rank_exact(m).rank
+    assert rank_numeric(m).rank == rank_exact(coded(m)).rank
 
 
 # -- determinant and inverse -----------------------------------------------
@@ -479,4 +507,4 @@ def det_test_matrices(draw):
 @settings(max_examples=240, deadline=None)
 def test_det_matches_rational_elimination_oracle(m):
     assert det_exact(m) == det_rational(m)
-    assert rank_exact(m).rank == rank_mod_prime(m)
+    assert rank_exact(coded(m)).rank == rank_mod_prime(m)
